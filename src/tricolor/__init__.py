@@ -62,7 +62,6 @@ from .patterns import (
     PatternWitness,
     find_bowtie,
     find_diamond,
-    find_fixed_pattern,
     find_isk4,
     verify_membership,
 )

@@ -55,6 +55,13 @@ logger = logging.getLogger(__name__)
 # Graph file I/O
 
 
+def _int_field(token: str, lineno: int, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedInputError(f"line {lineno}: non-integer {token!r} in {line!r}") from None
+
+
 def parse_dimacs(text: str) -> Graph:
     n = None
     edges: List[Tuple[int, int]] = []
@@ -66,14 +73,14 @@ def parse_dimacs(text: str) -> Graph:
         if fields[0] == "p":
             if len(fields) < 4 or fields[1] not in ("edge", "edges", "col"):
                 raise MalformedInputError(f"line {lineno}: bad problem line {line!r}")
-            n = int(fields[2])
+            n = _int_field(fields[2], lineno, line)
         elif fields[0] == "e":
             if n is None:
                 raise MalformedInputError(f"line {lineno}: edge before problem line")
             if len(fields) != 3:
                 raise MalformedInputError(f"line {lineno}: bad edge line {line!r}")
-            u, v = int(fields[1]) - 1, int(fields[2]) - 1
-            edges.append((u, v))
+            edges.append((_int_field(fields[1], lineno, line) - 1,
+                          _int_field(fields[2], lineno, line) - 1))
         else:
             raise MalformedInputError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
@@ -158,7 +165,6 @@ def cmd_color(args) -> int:
     g = read_graph(args.file, args.format)
     cert = color_class_member(
         g,
-        jobs=args.jobs,
         verify_membership_first=args.verify_membership,
         membership_budget=args.budget,
     )
@@ -171,7 +177,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.cert) as fh:
             cert = ColoringCertificate.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise MalformedInputError(f"cannot load certificate {args.cert}: {exc}") from exc
     ok = verify_certificate(g, cert)
     _emit({"valid": ok})
@@ -254,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="emit a verified 3-coloring certificate")
     p.add_argument("file")
     add_format(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel leaf coloring")
     p.add_argument("--verify-membership", action="store_true",
                    help="run the membership oracle before coloring")
     p.add_argument("--budget", type=int, default=_default_budget(),

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceededError, ContractViolationError, PipelineError
 from .graph import Graph, RemovalLog, is_connected
-from .patterns import find_diamond
 from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
@@ -67,9 +66,6 @@ class VertexColoring:
     def __getitem__(self, v: int) -> int:
         return self.colors[v]
 
-    def used_colors(self) -> Tuple[int, ...]:
-        return tuple(sorted(set(self.colors.values())))
-
     def palette_size(self) -> int:
         return len(set(self.colors.values()))
 
@@ -79,9 +75,6 @@ class VertexColoring:
         if any(c < 0 or c >= self.k for c in self.colors.values()):
             return False
         return all(self.colors[u] != self.colors[v] for u, v in g.edges())
-
-    def relabeled(self, perm: Dict[int, int]) -> "VertexColoring":
-        return VertexColoring({v: perm[c] for v, c in self.colors.items()}, self.k)
 
     def to_json(self) -> Dict[str, int]:
         return {str(v): c for v, c in sorted(self.colors.items())}
@@ -608,8 +601,6 @@ def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColoring
     adj[a].add(u)
     adj[b].add(u)
     gp = Graph.from_adjacency(adj)
-    if not is_connected(gp) or find_diamond(gp) is not None:
-        return None
     root = reconstruct_line_graph_root(gp)
     if root is None:
         return None
@@ -631,7 +622,11 @@ def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColoring
 
 def _constrained_search(tx: Graph, a: int, b: int, same: bool,
                         node_budget: int, deadline: Optional[float]) -> Optional[Dict[int, int]]:
-    """Backtracking 3-coloring with the pair pinned equal or unequal."""
+    """Backtracking 3-coloring with the pair pinned equal or unequal.
+
+    Iterative: the search goes one level per vertex of the side, which can
+    exceed the interpreter's recursion limit.
+    """
     order = [a, b]
     seen = {a, b}
     queue = [a, b]
@@ -649,30 +644,28 @@ def _constrained_search(tx: Graph, a: int, b: int, same: bool,
     colors: Dict[int, int] = {a: 0, b: 0 if same else 1}
     if tx.has_edge(a, b):
         raise ContractViolationError("pair must be nonadjacent")
+    rest = order[2:]
+    # options[i] holds the untried colors of rest[i]; rest[:len(options)]
+    # are colored, each with the color last taken from its list.
+    options: List[List[int]] = []
     steps = 0
-
-    def bt(idx: int) -> bool:
-        nonlocal steps
+    while True:
         steps += 1
         if steps > node_budget:
             raise BudgetExceededError("fallback search budget exhausted")
         if deadline is not None and steps % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetExceededError("fallback search deadline exceeded")
-        if idx == len(order):
-            return True
-        v = order[idx]
-        if v in (a, b):
-            return bt(idx + 1)
+        if len(options) == len(rest):
+            return colors
+        v = rest[len(options)]
         used = {colors[u] for u in tx.neighbors(v) if u in colors}
-        for c in PALETTE:
-            if c not in used:
-                colors[v] = c
-                if bt(idx + 1):
-                    return True
-                del colors[v]
-        return False
-
-    return dict(colors) if bt(0) else None
+        options.append([c for c in PALETTE if c not in used])
+        while not options[-1]:
+            options.pop()
+            colors.pop(rest[len(options)], None)
+            if not options:
+                return None
+        colors[rest[len(options) - 1]] = options[-1].pop(0)
 
 
 def dual_colorings_for_side(

@@ -147,10 +147,6 @@ class RemovalLog:
     def to_json(self) -> List[List]:
         return [[v, list(nbrs)] for v, nbrs in self.entries]
 
-    @classmethod
-    def from_json(cls, data: Iterable) -> "RemovalLog":
-        return cls(tuple((int(v), tuple(int(u) for u in nbrs)) for v, nbrs in data))
-
 
 class MultiGraph:
     """Mutable multigraph used only by the series-parallel reduction.

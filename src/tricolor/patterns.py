@@ -23,7 +23,6 @@ __all__ = [
     "MembershipReport",
     "find_diamond",
     "find_bowtie",
-    "find_fixed_pattern",
     "find_isk4",
     "verify_membership",
     "is_k4_subdivision",
@@ -41,7 +40,7 @@ VERDICT_UNKNOWN = "unknown"
 class PatternWitness:
     """A vertex set realizing a forbidden pattern, re-checkable on demand."""
 
-    kind: str  # diamond | bowtie | prism | k33 | k4 | isk4
+    kind: str  # diamond | bowtie | isk4
     vertices: Tuple[int, ...]
     corners: Tuple[int, ...] = ()  # isk4 only: the four degree-3 vertices
     paths: Tuple[Tuple[int, ...], ...] = ()  # isk4 only: six corner-to-corner paths
@@ -53,12 +52,6 @@ class PatternWitness:
             return _induces_diamond(sub)
         if self.kind == "bowtie":
             return _induces_bowtie(sub)
-        if self.kind == "prism":
-            return _induces_prism(sub)
-        if self.kind == "k33":
-            return _induces_k33(sub)
-        if self.kind == "k4":
-            return sub.n == 4 and sub.m == 6
         if self.kind == "isk4":
             return is_k4_subdivision(sub)
         return False
@@ -112,37 +105,6 @@ def _induces_bowtie(sub: Graph) -> bool:
     # The four wings must split into two adjacent pairs.
     adj_pairs = [(a, b) for a, b in combinations(wings, 2) if sub.has_edge(a, b)]
     return len(adj_pairs) == 2 and len({v for p in adj_pairs for v in p}) == 4
-
-
-def _induces_prism(sub: Graph) -> bool:
-    if sub.n != 6 or sub.m != 9:
-        return False
-    if any(sub.degree(v) != 3 for v in sub.vertices):
-        return False
-    triangles = [
-        t for t in combinations(sub.vertices, 3)
-        if sub.has_edge(t[0], t[1]) and sub.has_edge(t[0], t[2]) and sub.has_edge(t[1], t[2])
-    ]
-    if len(triangles) != 2:
-        return False
-    t1, t2 = triangles
-    if set(t1) & set(t2):
-        return False
-    cross = [(a, b) for a in t1 for b in t2 if sub.has_edge(a, b)]
-    return len(cross) == 3 and len({a for a, _ in cross}) == 3 and len({b for _, b in cross}) == 3
-
-
-def _induces_k33(sub: Graph) -> bool:
-    if sub.n != 6 or sub.m != 9:
-        return False
-    if any(sub.degree(v) != 3 for v in sub.vertices):
-        return False
-    v0 = sub.vertices[0]
-    side_a = {v0} | {u for u in sub.vertices if not sub.has_edge(v0, u) and u != v0}
-    side_b = set(sub.vertices) - side_a
-    if len(side_a) != 3 or len(side_b) != 3:
-        return False
-    return all(sub.has_edge(a, b) for a in side_a for b in side_b)
 
 
 def is_k4_subdivision(sub: Graph) -> bool:
@@ -230,74 +192,6 @@ def find_bowtie(g: Graph) -> Optional[PatternWitness]:
     return PatternWitness("bowtie", best)
 
 
-def _find_k4(g: Graph) -> Optional[Tuple[int, ...]]:
-    best: Optional[Tuple[int, ...]] = None
-    for u, v in g.edges():
-        common = [w for w in g.neighbors(u) if g.has_edge(v, w)]
-        for w1, w2 in combinations(common, 2):
-            if g.has_edge(w1, w2):
-                cand = tuple(sorted((u, v, w1, w2)))
-                if best is None or cand < best:
-                    best = cand
-    return best
-
-
-def _find_prism(g: Graph) -> Optional[Tuple[int, ...]]:
-    triangles = []
-    for u, v in g.edges():
-        for w in g.neighbors(u):
-            if w > v and g.has_edge(v, w):
-                triangles.append((u, v, w))
-    best: Optional[Tuple[int, ...]] = None
-    for t1, t2 in combinations(triangles, 2):
-        if set(t1) & set(t2):
-            continue
-        cross = [(a, b) for a in t1 for b in t2 if g.has_edge(a, b)]
-        if len(cross) != 3:
-            continue
-        if len({a for a, _ in cross}) != 3 or len({b for _, b in cross}) != 3:
-            continue
-        cand = tuple(sorted(t1 + t2))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _find_k33(g: Graph) -> Optional[Tuple[int, ...]]:
-    best: Optional[Tuple[int, ...]] = None
-    verts = g.vertices
-    for u, v in combinations(verts, 2):
-        if g.has_edge(u, v):
-            continue
-        common_uv = [w for w in g.neighbors(u) if g.has_edge(v, w)]
-        if len(common_uv) < 3:
-            continue
-        for w in verts:
-            if w <= v or w == u or g.has_edge(u, w) or g.has_edge(v, w):
-                continue
-            common = [x for x in common_uv if g.has_edge(w, x)]
-            for trio in combinations(common, 3):
-                if any(g.has_edge(a, b) for a, b in combinations(trio, 2)):
-                    continue
-                cand = tuple(sorted((u, v, w) + trio))
-                if best is None or cand < best:
-                    best = cand
-    return best
-
-
-def find_fixed_pattern(g: Graph, kind: str) -> Optional[PatternWitness]:
-    """Find an induced prism, K33, or K4 by bounded enumeration."""
-    if kind == "prism":
-        found = _find_prism(g)
-    elif kind == "k33":
-        found = _find_k33(g)
-    elif kind == "k4":
-        found = _find_k4(g)
-    else:
-        raise ValueError(f"unknown pattern kind {kind!r}")
-    return PatternWitness(kind, found) if found else None
-
-
 # ---------------------------------------------------------------------------
 # Induced-K4-subdivision search
 
@@ -350,10 +244,8 @@ class _SubsetSearch:
             self.rng.shuffle(order)
         for root in order:
             self.best = None
-            ext = [u for u in self.g.neighbors(root) if u > root]
-            banned = {root, *ext}
             try:
-                self._grow([root], {root: 0}, ext, banned, root)
+                self._grow(root)
             except _StepLimit:
                 self.exhausted = True
                 return self.best
@@ -363,20 +255,23 @@ class _SubsetSearch:
                 return self.best
         return None
 
-    def _grow(self, subset: List[int], deg: Dict[int, int],
-              extension: List[int], banned: Set[int], root: int) -> None:
-        self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise _StepLimit()
-        if sum(1 for d in deg.values() if d == 3) == 4 and all(
-            d in (2, 3) for d in deg.values()
-        ):
-            sub = induced_subgraph(self.g, subset)
-            if is_k4_subdivision(sub):
-                cand = tuple(sorted(subset))
-                if self.best is None or cand < self.best:
-                    self.best = cand
-        for i, v in enumerate(extension):
+    def _grow(self, root: int) -> None:
+        """Visit every subset rooted at ``root`` in depth-first pre-order.
+
+        The stack is explicit because the depth grows with n, past the
+        interpreter's recursion limit.  A frame is [subset, induced degrees,
+        extension list, banned set, index of the next extension to try].
+        """
+        ext = [u for u in self.g.neighbors(root) if u > root]
+        stack = [self._visit([root], {root: 0}, ext, {root, *ext})]
+        while stack:
+            frame = stack[-1]
+            subset, deg, extension, banned, i = frame
+            if i == len(extension):
+                stack.pop()
+                continue
+            frame[4] = i + 1
+            v = extension[i]
             new_deg = dict(deg)
             ok = True
             add = 0
@@ -396,9 +291,24 @@ class _SubsetSearch:
                 u for u in self.g.neighbors(v)
                 if u > root and u not in banned
             ]
-            new_ext = extension[i + 1:] + fresh
-            new_banned = banned | set(fresh)
-            self._grow(subset + [v], new_deg, new_ext, new_banned, root)
+            stack.append(self._visit(subset + [v], new_deg, extension[i + 1:] + fresh,
+                                     banned | set(fresh)))
+
+    def _visit(self, subset: List[int], deg: Dict[int, int],
+               extension: List[int], banned: Set[int]) -> List:
+        """Count one step, record a witness if ``subset`` is one, return its frame."""
+        self.steps += 1
+        if self.max_steps is not None and self.steps > self.max_steps:
+            raise _StepLimit()
+        if sum(1 for d in deg.values() if d == 3) == 4 and all(
+            d in (2, 3) for d in deg.values()
+        ):
+            sub = induced_subgraph(self.g, subset)
+            if is_k4_subdivision(sub):
+                cand = tuple(sorted(subset))
+                if self.best is None or cand < self.best:
+                    self.best = cand
+        return [subset, deg, extension, banned, 0]
 
 
 class _StepLimit(Exception):

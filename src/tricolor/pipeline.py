@@ -11,8 +11,6 @@ offline.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +24,7 @@ from .coloring import (
     merge_at_clique,
     merge_at_proper2,
 )
-from .cutsets import CliqueCutsetTree, TreeNode, build_clique_tree, find_clique_cutset
+from .cutsets import build_clique_tree, find_clique_cutset
 from .errors import ContractViolationError, PipelineError
 from .graph import Graph, induced_subgraph, is_connected
 from .patterns import VERDICT_NONMEMBER, verify_membership
@@ -39,57 +37,30 @@ from .recognition import (
 
 __all__ = ["ColoringCertificate", "PipelineStats", "color_class_member", "verify_certificate"]
 
-CERTIFICATE_FORMAT = "tricolor.certificate/1"
+CERTIFICATE_FORMAT = "tricolor.certificate/2"
 
 
 @dataclass
 class PipelineStats:
-    tree_nodes: int = 0
-    layers: int = 0
-    clique_cutsets: List[Tuple[int, ...]] = field(default_factory=list)
-    proper2_cutsets: List[Tuple[int, int]] = field(default_factory=list)
+    """Run report: one entry per basic leaf, and the fallback count."""
+
     leaf_verdicts: List[Dict] = field(default_factory=list)
-    dual_routes: Dict[str, int] = field(default_factory=dict)
     fallback_count: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record_route(self, route: str) -> None:
-        with self._lock:
-            self.dual_routes[route] = self.dual_routes.get(route, 0) + 1
-            if route == ROUTE_FALLBACK:
-                self.fallback_count += 1
-
-    def record_leaf(self, size: int, branch: str) -> None:
-        with self._lock:
-            self.leaf_verdicts.append({"size": size, "branch": branch})
-
-    def record_proper2(self, pair: Tuple[int, int]) -> None:
-        with self._lock:
-            self.proper2_cutsets.append(pair)
-
-    def record_tree(self, tree: CliqueCutsetTree) -> None:
-        with self._lock:
-            self.tree_nodes += len(tree.nodes)
-            self.layers = max(self.layers, tree.layers)
-            for node in tree.nodes:
-                if node.kind == "clique":
-                    self.clique_cutsets.append(node.cutset)
 
 
 @dataclass(frozen=True)
 class ColoringCertificate:
-    """Machine-checkable record of one pipeline run."""
+    """Machine-checkable record of one pipeline run.
+
+    ``verify_certificate`` re-checks every field except ``leaf_verdicts`` and
+    ``fallback_count``, which only report how the run went.
+    """
 
     graph_hash: str
     n: int
     m: int
     coloring: VertexColoring
     palette: int
-    proper: bool
-    tree_nodes: int
-    layers: int
-    clique_cutsets: Tuple[Tuple[int, ...], ...]
-    proper2_cutsets: Tuple[Tuple[int, int], ...]
     leaf_verdicts: Tuple[Dict, ...]
     fallback_count: int
 
@@ -101,34 +72,25 @@ class ColoringCertificate:
             "m": self.m,
             "coloring": self.coloring.to_json(),
             "palette": self.palette,
-            "proper": self.proper,
-            "tree": {
-                "nodes": self.tree_nodes,
-                "layers": self.layers,
-                "clique_cutsets": [list(k) for k in self.clique_cutsets],
-                "proper_2_cutsets": [list(p) for p in self.proper2_cutsets],
-            },
             "leaves": list(self.leaf_verdicts),
             "fallback_count": self.fallback_count,
         }
 
     @classmethod
     def from_json(cls, data: Dict) -> "ColoringCertificate":
+        if not isinstance(data, dict):
+            raise ValueError("certificate must be a JSON object")
         if data.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {data.get('format')!r}")
+        if not isinstance(data["coloring"], dict):
+            raise ValueError("certificate coloring must be a JSON object")
         coloring = VertexColoring({int(v): int(c) for v, c in data["coloring"].items()}, 3)
-        tree = data["tree"]
         return cls(
             graph_hash=data["graph_hash"],
             n=int(data["n"]),
             m=int(data["m"]),
             coloring=coloring,
             palette=int(data["palette"]),
-            proper=bool(data["proper"]),
-            tree_nodes=int(tree["nodes"]),
-            layers=int(tree["layers"]),
-            clique_cutsets=tuple(tuple(k) for k in tree["clique_cutsets"]),
-            proper2_cutsets=tuple(tuple(p) for p in tree["proper_2_cutsets"]),
             leaf_verdicts=tuple(data["leaves"]),
             fallback_count=int(data["fallback_count"]),
         )
@@ -138,7 +100,7 @@ def _serialize_graph(g: Graph) -> Dict:
     return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges()]}
 
 
-def _color_basic_leaf(leaf: Graph, stats: PipelineStats, record_leaf: bool) -> VertexColoring:
+def _color_basic_leaf(leaf: Graph, stats: PipelineStats) -> VertexColoring:
     """Color one basic leaf, shedding proper-2-cutset sides while they last.
 
     Extracted sides stack up with their paired colorings and are merged back
@@ -152,7 +114,6 @@ def _color_basic_leaf(leaf: Graph, stats: PipelineStats, record_leaf: bool) -> V
     cur = leaf
     known_basic = True
     coloring: Optional[VertexColoring] = None
-    first = True
     while True:
         if not known_basic:
             basic = (
@@ -161,23 +122,22 @@ def _color_basic_leaf(leaf: Graph, stats: PipelineStats, record_leaf: bool) -> V
                 and find_clique_cutset(cur) is None
             )
             if not basic:
-                coloring = _color_graph(cur, stats, jobs=1)
+                coloring = _color_graph(cur, stats)
                 break
         verdict = classify_basic(cur)
-        if record_leaf and first:
-            stats.record_leaf(cur.n, verdict.branch)
-            first = False
+        if not chain:  # the leaf itself, not a residue
+            stats.leaf_verdicts.append({"size": cur.n, "branch": verdict.branch})
         if verdict.branch in (BRANCH_COMPLETE_BIPARTITE, BRANCH_LINE_OF_SPARSE):
             coloring = color_basic(cur, verdict)
             break
         if verdict.branch == BRANCH_PROPER_2_CUTSET:
             cs = verdict.cutset
             a, b = cs.pair
-            stats.record_proper2((a, b))
             tx = induced_subgraph(cur, set(cs.side_x) | {a, b})
             ty = induced_subgraph(cur, set(cs.side_y) | {a, b})
             dual = dual_colorings_for_side(tx, a, b)
-            stats.record_route(dual.route)
+            if dual.route == ROUTE_FALLBACK:
+                stats.fallback_count += 1
             chain.append(dual)
             cur = ty
             known_basic = False
@@ -191,25 +151,12 @@ def _color_basic_leaf(leaf: Graph, stats: PipelineStats, record_leaf: bool) -> V
     return coloring
 
 
-def _color_graph(g: Graph, stats: PipelineStats, jobs: int = 1) -> VertexColoring:
+def _color_graph(g: Graph, stats: PipelineStats) -> VertexColoring:
     tree = build_clique_tree(g)
-    stats.record_tree(tree)
-
-    leaf_colorings: Dict[int, VertexColoring] = {}
-    basic_nodes = [nd for nd in tree.nodes if nd.kind == "basic"]
-
-    def color_leaf(node: TreeNode) -> Tuple[int, VertexColoring]:
-        residual = induced_subgraph(g, tree.residual_vertices(node))
-        return node.node_id, _color_basic_leaf(residual, stats, record_leaf=True)
-
-    if jobs > 1 and len(basic_nodes) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for node_id, coloring in pool.map(color_leaf, basic_nodes):
-                leaf_colorings[node_id] = coloring
-    else:
-        for node in basic_nodes:
-            node_id, coloring = color_leaf(node)
-            leaf_colorings[node_id] = coloring
+    leaf_colorings = {
+        node.node_id: _color_basic_leaf(induced_subgraph(g, tree.residual_vertices(node)), stats)
+        for node in tree.nodes if node.kind == "basic"
+    }
 
     # Bottom-up fold over an explicit post-order (children have larger ids
     # than their parent, so reversed id order visits children first).
@@ -242,8 +189,11 @@ def color_class_member(
     witness of the offending subgraph when an assumption fails, rather than
     ever emitting a wrong coloring.  Membership checking is off by default
     (the forbidden-subdivision oracle is expensive); enable it to reject
-    non-members up front within the oracle budget.
+    non-members up front within the oracle budget.  The pipeline is serial;
+    ``jobs`` must be 1.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     if verify_membership_first:
         kwargs = {} if membership_budget is None else {"budget": membership_budget}
         report = verify_membership(g, **kwargs)
@@ -254,7 +204,7 @@ def color_class_member(
             )
     stats = PipelineStats()
     try:
-        coloring = _color_graph(g, stats, jobs=jobs)
+        coloring = _color_graph(g, stats)
     except ContractViolationError as exc:
         # A non-member can push an internal step outside its contract (for
         # example a clique cutset wider than the palette); surface that as a
@@ -263,8 +213,7 @@ def color_class_member(
             f"structural assumption violated: {exc}",
             payload={"verdict": "structure", "graph": _serialize_graph(g)},
         ) from exc
-    proper = coloring.is_proper(g)
-    if not proper:
+    if not coloring.is_proper(g):
         raise PipelineError(
             "pipeline produced an improper coloring",
             payload={"graph": _serialize_graph(g)},
@@ -275,18 +224,17 @@ def color_class_member(
         m=g.m,
         coloring=coloring,
         palette=coloring.palette_size(),
-        proper=True,
-        tree_nodes=stats.tree_nodes,
-        layers=stats.layers,
-        clique_cutsets=tuple(stats.clique_cutsets),
-        proper2_cutsets=tuple(stats.proper2_cutsets),
         leaf_verdicts=tuple(stats.leaf_verdicts),
         fallback_count=stats.fallback_count,
     )
 
 
 def verify_certificate(g: Graph, cert: ColoringCertificate) -> bool:
-    """Recompute everything the certificate claims; true iff it all holds."""
+    """Recompute everything the certificate claims; true iff it all holds.
+
+    The run report (``leaf_verdicts``, ``fallback_count``) claims nothing
+    about the graph and is not checked.
+    """
     if cert.graph_hash != g.canonical_hash():
         return False
     if cert.n != g.n or cert.m != g.m:
@@ -294,4 +242,4 @@ def verify_certificate(g: Graph, cert: ColoringCertificate) -> bool:
     if not cert.coloring.is_proper(g):
         return False
     actual_palette = cert.coloring.palette_size()
-    return cert.proper and cert.palette == actual_palette and actual_palette <= 3
+    return cert.palette == actual_palette and actual_palette <= 3

@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .cutsets import Proper2Cutset, find_proper_2_cutset
-from .errors import ContractViolationError
 from .graph import Graph, MultiGraph, is_connected
 from .patterns import find_diamond
 
@@ -172,7 +171,7 @@ def is_series_parallel(g: Graph) -> bool:
 
 
 def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
-    """Rebuild H with g = L(H), for connected diamond-free inputs.
+    """Rebuild H with g = L(H); None unless g is nonempty, connected and diamond-free.
 
     In a diamond-free graph two distinct maximal cliques share at most one
     vertex, so the edges partition uniquely into maximal cliques and the
@@ -182,10 +181,8 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
     per g-vertex.  Returns None unless H also comes out sparse with maximum
     degree at most three.
     """
-    if not is_connected(g):
-        raise ContractViolationError("root reconstruction requires a connected graph")
-    if find_diamond(g) is not None:
-        raise ContractViolationError("root reconstruction requires a diamond-free graph")
+    if g.n == 0 or not is_connected(g) or find_diamond(g) is not None:
+        return None
     if g.n == 1:
         # An isolated vertex is the line graph of a single edge.
         only = g.vertices[0]
@@ -238,10 +235,9 @@ def classify_basic(g: Graph) -> BasicVerdict:
     bip = is_complete_bipartite(g)
     if bip is not None:
         return BasicVerdict(BRANCH_COMPLETE_BIPARTITE, bipartition=bip)
-    if g.n > 0 and is_connected(g) and find_diamond(g) is None:
-        root = reconstruct_line_graph_root(g)
-        if root is not None:
-            return BasicVerdict(BRANCH_LINE_OF_SPARSE, root=root)
+    root = reconstruct_line_graph_root(g)
+    if root is not None:
+        return BasicVerdict(BRANCH_LINE_OF_SPARSE, root=root)
     cutset = find_proper_2_cutset(g, minimize_small_side=True)
     if cutset is not None:
         return BasicVerdict(BRANCH_PROPER_2_CUTSET, cutset=cutset)

@@ -1,4 +1,5 @@
 import json
+import random
 from importlib import resources
 
 import jsonschema
@@ -57,6 +58,16 @@ class TestGraphIO:
             parse_dimacs("e 1 2\n")
         with pytest.raises(MalformedInputError):
             parse_dimacs("p edge 2 1\nq 1 2\n")
+        with pytest.raises(MalformedInputError, match="line 2"):
+            parse_dimacs("p edge 2 1\ne 1 two\n")
+        with pytest.raises(MalformedInputError, match="line 1"):
+            parse_dimacs("p edge x 2\ne 1 2\n")
+
+    def test_dimacs_non_integer_exits_malformed(self, tmp_path):
+        for text in ("p edge 2 1\ne 1 two\n", "p edge x 2\ne 1 2\n"):
+            bad = tmp_path / "bad.col"
+            bad.write_text(text)
+            assert main(["recognize", str(bad)]) == EXIT_MALFORMED
 
     def test_format_sniffing(self, tmp_path):
         g = cycle_graph(5)
@@ -161,9 +172,29 @@ class TestCommands:
         assert main(["color", str(gfile)]) == EXIT_OK
         validate(json.loads(capsys.readouterr().out), "certificate")
 
-    def test_jobs_flag(self, tmp_path, capsys):
+    def test_jobs_flag_removed(self, tmp_path, capsys):
         gfile = write_graph_file(tmp_path, prism_graph())
-        assert main(["color", gfile, "--jobs", "4"]) == EXIT_OK
+        with pytest.raises(SystemExit) as err:
+            main(["color", gfile, "--jobs", "1"])
+        assert err.value.code == EXIT_MALFORMED
+
+    def test_certificate_shape_errors(self, tmp_path, capsys):
+        gfile = write_graph_file(tmp_path, prism_graph())
+        assert main(["color", gfile]) == EXIT_OK
+        good = json.loads(capsys.readouterr().out)
+        bad_docs = [
+            [good],
+            "certificate",
+            dict(good, coloring=[1]),
+            dict(good, coloring="0"),
+            dict(good, n=[6]),
+            dict(good, format="tricolor.certificate/1"),
+            {k: v for k, v in good.items() if k != "palette"},
+        ]
+        cert_file = tmp_path / "cert.json"
+        for doc in bad_docs:
+            cert_file.write_text(json.dumps(doc))
+            assert main(["verify", gfile, str(cert_file)]) == EXIT_MALFORMED, doc
 
     def test_budget_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TRICOLOR_BUDGET", "12")
@@ -171,3 +202,40 @@ class TestCommands:
         # Exact mode no longer covers n=15, so the verdict is unknown.
         assert main(["membership", gfile]) == EXIT_BUDGET
         assert json.loads(capsys.readouterr().out)["budget"] == 12
+
+
+class TestExitCodeFuzz:
+    """Seeded malformed inputs through ``main``: only documented exit codes."""
+
+    @staticmethod
+    def _mutate(rng, text):
+        tokens = text.split(" ")
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(tokens))
+            tokens[i] = rng.choice(["", "x", "-1", "0", "99", "1.5", "e", "p", "\n", "{", "]",
+                                    "null", '"', "edge", "\u00e9"])
+        return " ".join(tokens)
+
+    def test_malformed_graphs_and_certificates(self, tmp_path, capsys):
+        rng = random.Random(20261017)
+        seen = set()
+        prism = prism_graph()
+        gfile = write_graph_file(tmp_path, prism, "prism.col")
+        assert main(["color", gfile]) == EXIT_OK
+        cert_text = capsys.readouterr().out
+        dimacs, graph_json = write_dimacs(prism), json.dumps(graph_to_json(prism))
+        col, jsn, cert = tmp_path / "f.col", tmp_path / "f.json", tmp_path / "c.json"
+        for _ in range(60):
+            col.write_text(self._mutate(rng, dimacs))
+            jsn.write_text(self._mutate(rng, graph_json))
+            cert.write_text(self._mutate(rng, cert_text))
+            runs = [[command, str(path)] for command in ("recognize", "color", "membership")
+                    for path in (col, jsn)]
+            runs += [["verify", gfile, str(cert)], ["verify", str(col), str(cert)]]
+            for argv in runs:
+                code = main(argv)
+                assert code in range(5), (argv, code)
+                seen.add(code)
+        capsys.readouterr()
+        # The mutations reach both the parsers' rejections and real runs.
+        assert {EXIT_OK, EXIT_NEGATIVE, EXIT_MALFORMED} <= seen

@@ -307,6 +307,42 @@ class TestDualColoringsForSide:
         with pytest.raises(ContractViolationError):
             dual_colorings_for_side(path_graph(3), 0, 1)
 
+    def test_long_fallback_side(self):
+        # A 3000-edge path from a to b plus a K33 with a, b and w on one
+        # side: no constructive route applies, and the fallback search runs
+        # 3005 vertices deep without recursing.
+        a, b, w = 0, 3000, 3001
+        edges = [(i, i + 1) for i in range(3000)]
+        edges += [(x, y) for x in (a, b, w) for y in (3002, 3003, 3004)]
+        tx = build_graph(edges, 3005)
+        duals = dual_colorings_for_side(tx, a, b)
+        assert duals.route == ROUTE_FALLBACK
+        assert duals.same.is_proper(tx) and duals.diff.is_proper(tx)
+        assert duals.validate(tx)
+
+    def test_fallback_search_matches_exact_oracle(self, rng):
+        # Pinning a = b is coloring g with b merged into a; pinning a != b is
+        # coloring g plus the edge ab.  chi_exact decides both independently.
+        from tricolor.coloring import _constrained_search
+
+        for _ in range(150):
+            n = rng.randrange(4, 14)
+            g = random_graph(rng, n, rng.choice([0.3, 0.4, 0.5]))
+            pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if not g.has_edge(u, v)]
+            if not pairs:
+                continue
+            a, b = rng.choice(pairs)
+            merged = build_graph({tuple(sorted((a if x == b else x for x in e)))
+                                  for e in g.edges()}, n)
+            joined = build_graph(list(g.edges()) + [(a, b)], n)
+            for same, pinned in ((True, merged), (False, joined)):
+                found = _constrained_search(g, a, b, same, 10 ** 6, None)
+                assert (found is not None) == (chi_exact(pinned)[0] <= 3)
+                if found is not None:
+                    assert all(found[u] != found[v] for u, v in g.edges())
+                    assert (found[a] == found[b]) == same
+
     def test_impossible_side_reported(self):
         # In the diamond every proper 3-coloring gives the nonadjacent pair
         # one shared color, so the disagreeing half cannot exist.

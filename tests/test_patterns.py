@@ -1,7 +1,6 @@
 import random
+import sys
 from itertools import combinations
-
-import pytest
 
 import oracles
 from common import (
@@ -10,7 +9,6 @@ from common import (
     complete_graph,
     cycle_graph,
     diamond_graph,
-    petersen_graph,
     prism_graph,
 )
 from conftest import random_graph
@@ -18,7 +16,6 @@ from tricolor import (
     build_graph,
     find_bowtie,
     find_diamond,
-    find_fixed_pattern,
     find_isk4,
     induced_subgraph,
     subdivide,
@@ -73,32 +70,6 @@ class TestFindBowtie:
             mine = find_bowtie(g)
             ref = oracles.find_induced_copy(g, bowtie_graph())
             assert (mine.vertices if mine else None) == ref
-
-
-class TestFixedPatterns:
-    def test_prism_in_prism(self):
-        w = find_fixed_pattern(prism_graph(), "prism")
-        assert w.vertices == (0, 1, 2, 3, 4, 5)
-        assert w.validate(prism_graph())
-
-    def test_k33_in_k33(self):
-        w = find_fixed_pattern(complete_bipartite(3, 3), "k33")
-        assert w.vertices == (0, 1, 2, 3, 4, 5)
-
-    def test_petersen_has_no_prism(self):
-        assert find_fixed_pattern(petersen_graph(), "prism") is None
-        # Petersen has girth 5: no triangles, so no 6-subset can induce one.
-        ref = oracles.find_induced_copy(petersen_graph(), prism_graph())
-        assert ref is None
-
-    def test_k4(self):
-        w = find_fixed_pattern(complete_graph(5), "k4")
-        assert w.vertices == (0, 1, 2, 3)
-        assert find_fixed_pattern(prism_graph(), "k4") is None
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            find_fixed_pattern(prism_graph(), "pentagon")
 
 
 class TestFindIsk4:
@@ -188,3 +159,15 @@ class TestMembership:
             rep = verify_membership(g)
             if rep.witness is not None:
                 assert rep.witness.validate(g)
+
+    def test_long_path_exact_without_deep_recursion(self):
+        # 400 vertices in exact mode: the subset search goes 400 levels deep,
+        # which must not depend on the interpreter's recursion limit.
+        g = build_graph([(i, i + 1) for i in range(399)], 400)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            rep = verify_membership(g, budget=400)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep.verdict == "member" and rep.mode == "exact"

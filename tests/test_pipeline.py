@@ -12,6 +12,7 @@ from common import (
 from tricolor import (
     PipelineError,
     build_graph,
+    classify_basic,
     color_class_member,
     gen_glue,
     gen_series_parallel,
@@ -62,17 +63,10 @@ class TestColorClassMember:
         c2 = color_class_member(g)
         assert c1.to_json() == c2.to_json()
 
-    def test_jobs_match_serial(self):
-        parts = [prism_graph(), gen_series_parallel(3, 9)]
-        g = gen_glue(8, parts, "vertex")
-        serial = color_class_member(g, jobs=1)
-        parallel = color_class_member(g, jobs=4)
-        assert serial.to_json() == parallel.to_json()
-
     def test_two_leaves_colored_in_parallel(self):
-        # Two prisms joined by a 3-edge path: the path interior peels away,
-        # the residual splits into components, and both prism leaves can be
-        # colored concurrently with a result identical to the serial run.
+        # Two prisms joined by a 3-edge path: the path interior peels away
+        # and the residual splits into two sibling prism leaves, each colored
+        # on its own.  The pipeline is serial: any jobs value but 1 is refused.
         edges = list(prism_graph().edges())
         edges += [(u + 6, v + 6) for u, v in prism_graph().edges()]
         edges += [(0, 12), (12, 13), (13, 6)]
@@ -80,12 +74,12 @@ class TestColorClassMember:
         from tricolor import verify_membership
 
         assert verify_membership(g).verdict == "member"
-        serial = color_class_member(g, jobs=1)
-        parallel = color_class_member(g, jobs=4)
-        assert serial.to_json() == parallel.to_json()
-        assert len(serial.leaf_verdicts) == 2
-        assert {leaf["branch"] for leaf in serial.leaf_verdicts} == {"line_of_sparse"}
-        assert verify_certificate(g, serial)
+        cert = color_class_member(g, jobs=1)
+        assert len(cert.leaf_verdicts) == 2
+        assert {leaf["branch"] for leaf in cert.leaf_verdicts} == {"line_of_sparse"}
+        assert verify_certificate(g, cert)
+        with pytest.raises(ValueError):
+            color_class_member(g, jobs=4)
 
     def test_disconnected_input(self):
         g = build_graph(
@@ -149,7 +143,7 @@ class TestProper2CutsetMachinery:
         cert = color_class_member(g)
         assert cert.palette <= 3
         assert verify_certificate(g, cert)
-        assert cert.proper2_cutsets == ((0, 3),)
+        assert classify_basic(g).cutset.pair == (0, 3)
         assert cert.leaf_verdicts[0]["branch"] == "proper_2_cutset"
         assert cert.fallback_count == 0
 
@@ -168,7 +162,7 @@ class TestProper2CutsetMachinery:
         cert = color_class_member(g)
         assert verify_certificate(g, cert)
         assert cert.fallback_count == 1
-        assert cert.proper2_cutsets == ((0, 1),)
+        assert classify_basic(g).cutset.pair == (0, 1)
 
     def test_nonbasic_residue_recurses(self):
         # After shedding the 6-vertex side at (0, 3), the residue is a prism
@@ -184,11 +178,11 @@ class TestProper2CutsetMachinery:
         assert g.min_degree() >= 3
         cert = color_class_member(g)
         assert verify_certificate(g, cert)
-        assert cert.proper2_cutsets == ((0, 3),)
+        assert classify_basic(g).cutset.pair == (0, 3)
         assert cert.fallback_count == 0
+        # The second leaf is recorded by the recursive run on the residue.
         branches = [leaf["branch"] for leaf in cert.leaf_verdicts]
         assert branches == ["proper_2_cutset", "line_of_sparse"]
-        assert cert.tree_nodes == 2  # outer tree plus the recursive one
 
     def test_impossible_side_fails_loudly(self):
         # The minimal side here is a diamond whose nonadjacent pair is
@@ -278,5 +272,14 @@ class TestCertificate:
     def test_unknown_format_rejected(self):
         doc = color_class_member(prism_graph()).to_json()
         doc["format"] = "bogus/9"
+        with pytest.raises(ValueError):
+            ColoringCertificate.from_json(doc)
+
+    def test_claims_only_what_verify_checks(self):
+        doc = color_class_member(prism_graph()).to_json()
+        assert doc["format"] == "tricolor.certificate/2"
+        assert set(doc) == {"format", "graph_hash", "n", "m", "coloring", "palette",
+                            "leaves", "fallback_count"}
+        doc["format"] = "tricolor.certificate/1"
         with pytest.raises(ValueError):
             ColoringCertificate.from_json(doc)

@@ -1,5 +1,3 @@
-import pytest
-
 import oracles
 from common import (
     complete_bipartite,
@@ -11,7 +9,6 @@ from common import (
 )
 from conftest import random_graph
 from tricolor import (
-    ContractViolationError,
     build_graph,
     classify_basic,
     find_clique_cutset,
@@ -108,9 +105,11 @@ class TestRootReconstruction:
         assert reconstruct_line_graph_root(complete_graph(4)) is None
 
     def test_diamond_precondition(self):
+        # Diamond, disconnected and empty inputs have no root: None, not an error.
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 4)
-        with pytest.raises(ContractViolationError):
-            reconstruct_line_graph_root(g)
+        assert reconstruct_line_graph_root(g) is None
+        assert reconstruct_line_graph_root(build_graph([(0, 1), (2, 3)], 4)) is None
+        assert reconstruct_line_graph_root(build_graph([], 0)) is None
 
     def test_line_graphs_of_subdivided_cubics_roundtrip(self):
         for base in (complete_graph(4), complete_bipartite(3, 3), prism_graph()):
