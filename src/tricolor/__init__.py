@@ -22,9 +22,7 @@ from .coloring import (
     merge_at_proper2,
 )
 from .cutsets import (
-    CliqueCutsetTree,
     Proper2Cutset,
-    build_clique_tree,
     find_clique_cutset,
     find_clique_cutset_bruteforce,
     find_proper_2_cutset,
@@ -48,7 +46,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    MultiGraph,
     RemovalLog,
     build_graph,
     connected_components,
@@ -65,7 +62,13 @@ from .patterns import (
     find_isk4,
     verify_membership,
 )
-from .pipeline import ColoringCertificate, color_class_member, verify_certificate
+from .pipeline import (
+    ColoringCertificate,
+    DecompositionTree,
+    color_class_member,
+    decompose,
+    verify_certificate,
+)
 from .recognition import (
     BasicVerdict,
     RootGraph,

@@ -20,7 +20,6 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .coloring import chi_exact
-from .cutsets import build_clique_tree
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -37,7 +36,7 @@ from .generators import (
 )
 from .graph import Graph, build_graph
 from .patterns import DEFAULT_EXACT_BUDGET, verify_membership
-from .pipeline import ColoringCertificate, color_class_member, verify_certificate
+from .pipeline import ColoringCertificate, color_class_member, decompose, verify_certificate
 from .recognition import BRANCH_UNCLASSIFIED, classify_basic
 
 EXIT_OK = 0
@@ -122,7 +121,8 @@ def read_graph(path: str, fmt: Optional[str] = None) -> Graph:
     if fmt == "json":
         try:
             return parse_graph_json(json.loads(text))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # The JSON decoder recurses once per nesting level.
             raise MalformedInputError(f"{path}: invalid JSON: {exc}") from exc
     if fmt == "col":
         return parse_dimacs(text)
@@ -157,7 +157,7 @@ def cmd_recognize(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = read_graph(args.file, args.format)
-    _emit(build_clique_tree(g).to_json())
+    _emit(decompose(g).to_json())
     return EXIT_OK
 
 
@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.cert) as fh:
             cert = ColoringCertificate.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise MalformedInputError(f"cannot load certificate {args.cert}: {exc}") from exc
     ok = verify_certificate(g, cert)
     _emit({"valid": ok})
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_recognize)
 
-    p = sub.add_parser("decompose", help="emit the clique cutset decomposition tree")
+    p = sub.add_parser("decompose", help="emit the full decomposition tree")
     p.add_argument("file")
     add_format(p)
     p.set_defaults(func=cmd_decompose)

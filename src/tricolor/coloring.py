@@ -47,7 +47,6 @@ PALETTE = (0, 1, 2)
 FALLBACK_NODE_BUDGET = 3 ** 20
 
 ROUTE_CYCLE = "cycle"
-ROUTE_ORDER7 = "order7"
 ROUTE_LINE_ROOT = "line_root"
 ROUTE_FALLBACK = "fallback"
 
@@ -560,33 +559,6 @@ def _cycle_duals(tx: Graph, a: int, b: int) -> DualColorings:
     return DualColorings(VertexColoring(same, 3), VertexColoring(diff, 3), (a, b), ROUTE_CYCLE)
 
 
-def _order7_duals(tx: Graph, a: int, b: int) -> Optional[DualColorings]:
-    """Detect the 6-vertex shape (prism minus one matching edge) and color it.
-
-    The shape forces the coloring pattern, so the two answers are emitted
-    from a fixed table: apexes equal then one triangle rotated, or apexes
-    different with the rotation shared.
-    """
-    if tx.n != 6 or tx.degree(a) != 2 or tx.degree(b) != 2:
-        return None
-    others = [v for v in tx.vertices if v not in (a, b)]
-    if any(tx.degree(v) != 3 for v in others):
-        return None
-    t1, t2 = sorted(tx.neighbors(a))
-    ms = sorted(tx.neighbors(b))
-    if {t1, t2} & set(ms) or b in (t1, t2) or a in ms:
-        return None
-    if not (tx.has_edge(t1, t2) and tx.has_edge(ms[0], ms[1])):
-        return None
-    m1 = next((m for m in ms if tx.has_edge(t1, m)), None)
-    m2 = next((m for m in ms if tx.has_edge(t2, m)), None)
-    if m1 is None or m2 is None or m1 == m2:
-        return None
-    same = {a: 0, b: 0, t1: 2, t2: 1, m1: 1, m2: 2}
-    diff = {a: 0, b: 1, t1: 2, t2: 1, m1: 0, m2: 2}
-    return DualColorings(VertexColoring(same, 3), VertexColoring(diff, 3), (a, b), ROUTE_ORDER7)
-
-
 def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColorings]:
     """Constructive route through the root graph of the side plus a helper vertex.
 
@@ -678,11 +650,12 @@ def dual_colorings_for_side(
     """Produce an agreeing and a disagreeing 3-coloring of a cutset side.
 
     Constructive routes, tried in order: the side plus the pair is a single
-    cycle; the side is the 6-vertex prism-minus-an-edge shape; the side plus
-    a helper vertex is the line graph of a doubled-chain root.  If none
-    applies, an exhaustive constrained search runs as a logged fallback; its
-    failure means the input was not a class member (or exposes a bug), and is
-    reported with the offending side serialized.
+    cycle; the side plus a helper vertex is the line graph of a
+    doubled-chain root, which covers the 6-vertex prism minus a matching
+    edge (its completion is the line graph of a theta with paths of lengths
+    2, 2 and 3).  If none applies, an exhaustive constrained search runs as
+    a logged fallback; its failure means the input was not a class member
+    (or exposes a bug), and is reported with the offending side serialized.
     """
     if tx.has_edge(a, b):
         raise ContractViolationError("cutset pair must be nonadjacent")
@@ -693,11 +666,6 @@ def dual_colorings_for_side(
         if duals.validate(tx):
             return duals
         raise ContractViolationError("cycle-route coloring failed validation")
-    duals = _order7_duals(tx, a, b)
-    if duals is not None:
-        if not duals.validate(tx):
-            raise ContractViolationError("fixed-table coloring failed validation")
-        return duals
     helper = max(tx.vertices) + 1
     duals = _line_root_duals(tx, a, b, helper)
     if duals is not None:

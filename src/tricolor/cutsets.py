@@ -1,4 +1,4 @@
-"""Clique-cutset and proper-2-cutset machinery, plus the decomposition tree.
+"""Clique-cutset and proper-2-cutset machinery.
 
 The clique cutset search runs a minimal-triangulation pass (MCS-M) and scans
 the elimination order: any later-neighbor set that is a clique in the input
@@ -17,22 +17,12 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractViolationError
-from .graph import (
-    Graph,
-    RemovalLog,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-    peel_low_degree,
-)
+from .graph import Graph, connected_components, induced_subgraph, is_connected
 
 __all__ = [
-    "CliqueCutsetTree",
-    "TreeNode",
     "Proper2Cutset",
     "find_clique_cutset",
     "find_clique_cutset_bruteforce",
-    "build_clique_tree",
     "find_proper_2_cutset",
 ]
 
@@ -152,117 +142,6 @@ def find_clique_cutset_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# Clique cutset decomposition tree
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of the decomposition tree: an induced subgraph of the input.
-
-    ``removed`` logs the degree-<=2 peel applied at this node; ``cutset`` is
-    the clique used to split the peeled residual (empty tuple for a plain
-    component split, None at leaves).
-    """
-
-    node_id: int
-    layer: int
-    vertices: Tuple[int, ...]
-    removed: RemovalLog
-    cutset: Optional[Tuple[int, ...]]
-    children: Tuple[int, ...]
-    kind: str  # "clique" | "components" | "basic" | "empty"
-
-
-@dataclass(frozen=True)
-class CliqueCutsetTree:
-    graph: Graph
-    nodes: Tuple[TreeNode, ...]
-    layers: int
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[0]
-
-    def leaves(self) -> List[TreeNode]:
-        return [nd for nd in self.nodes if not nd.children]
-
-    def basic_leaves(self) -> List[TreeNode]:
-        return [nd for nd in self.nodes if nd.kind == "basic"]
-
-    def residual_vertices(self, node: TreeNode) -> Tuple[int, ...]:
-        removed = set(node.removed.removed_vertices())
-        return tuple(v for v in node.vertices if v not in removed)
-
-    def to_json(self) -> Dict:
-        return {
-            "format": "tricolor.tree/1",
-            "n": self.graph.n,
-            "m": self.graph.m,
-            "layers": self.layers,
-            "nodes": [
-                {
-                    "id": nd.node_id,
-                    "layer": nd.layer,
-                    "vertices": list(nd.vertices),
-                    "removed": nd.removed.to_json(),
-                    "cutset": list(nd.cutset) if nd.cutset is not None else None,
-                    "children": list(nd.children),
-                    "kind": nd.kind,
-                }
-                for nd in self.nodes
-            ],
-        }
-
-
-def build_clique_tree(g: Graph) -> CliqueCutsetTree:
-    """Decompose by alternating degree-<=2 peels and clique cutset splits.
-
-    Each node peels its subgraph to fixpoint, then either stops (empty, or no
-    clique cutset and minimum degree >= 3: a basic leaf) or splits the
-    residual on one clique cutset; disconnected residuals split on the empty
-    clique.  Children sit one layer deeper.  Fully peeled leaves are kept:
-    the color replay needs their logs.  The walk uses an explicit stack so
-    long cut-vertex chains cannot overflow the interpreter stack.
-    """
-    nodes: List[Optional[TreeNode]] = []
-    stack: List[Tuple[Graph, int, int]] = []
-
-    def open_node(sub: Graph, layer: int) -> int:
-        node_id = len(nodes)
-        nodes.append(None)
-        stack.append((sub, layer, node_id))
-        return node_id
-
-    open_node(g, 1)
-    while stack:
-        sub, layer, node_id = stack.pop()
-        residual, log = peel_low_degree(sub, 2)
-        if residual.n == 0:
-            nodes[node_id] = TreeNode(node_id, layer, sub.vertices, log, None, (), "empty")
-            continue
-        comps = connected_components(residual)
-        if len(comps) > 1:
-            kind, cutset = "components", ()
-            parts = comps
-        else:
-            found = find_clique_cutset(residual)
-            if found is None:
-                nodes[node_id] = TreeNode(
-                    node_id, layer, sub.vertices, log, None, (), "basic"
-                )
-                continue
-            cutset, comps = found
-            kind = "clique"
-            parts = [tuple(sorted(set(c) | set(cutset))) for c in comps]
-        child_ids = tuple(
-            open_node(induced_subgraph(residual, part), layer + 1) for part in parts
-        )
-        nodes[node_id] = TreeNode(node_id, layer, sub.vertices, log, cutset, child_ids, kind)
-    layers = max(nd.layer for nd in nodes)
-    return CliqueCutsetTree(g, tuple(nodes), layers)
-
-
-# ---------------------------------------------------------------------------
 # Proper 2-cutsets
 
 
@@ -351,14 +230,13 @@ def _best_partition(
     return size, x_comps, y_comps
 
 
-def find_proper_2_cutset(g: Graph, minimize_small_side: bool = True) -> Optional[Proper2Cutset]:
+def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
     """Scan nonadjacent pairs for a proper 2-cutset.
 
-    With the flag set, returns the cutset whose small side is minimum over
-    all proper 2-cutsets (ties broken lexicographically on the pair);
-    otherwise the first valid pair in lexicographic order wins.  Component
-    grouping is solved exactly per pair, since only a single-component side
-    can collapse into an a-b path.
+    Returns the cutset whose small side is minimum over all proper
+    2-cutsets (ties broken lexicographically on the pair), or None.
+    Component grouping is solved exactly per pair, since only a
+    single-component side can collapse into an a-b path.
     """
     before = len(connected_components(g))
     best: Optional[Tuple[int, Tuple[int, int], List, List]] = None
@@ -372,8 +250,6 @@ def find_proper_2_cutset(g: Graph, minimize_small_side: bool = True) -> Optional
         if found is None:
             continue
         size, x_comps, y_comps = found
-        if not minimize_small_side:
-            return _assemble(a, b, x_comps, y_comps)
         if best is None or size < best[0]:
             best = (size, (a, b), x_comps, y_comps)
     if best is None:

@@ -12,7 +12,6 @@ import hashlib
 import heapq
 import json
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
@@ -20,7 +19,6 @@ from .errors import ContractViolationError, MalformedInputError
 
 __all__ = [
     "Graph",
-    "MultiGraph",
     "RemovalLog",
     "build_graph",
     "induced_subgraph",
@@ -146,48 +144,6 @@ class RemovalLog:
 
     def to_json(self) -> List[List]:
         return [[v, list(nbrs)] for v, nbrs in self.entries]
-
-
-class MultiGraph:
-    """Mutable multigraph used only by the series-parallel reduction.
-
-    Tracks parallel-edge multiplicities and loop counts; never escapes the
-    recognition module except by conversion back to :class:`Graph`.
-    """
-
-    def __init__(self) -> None:
-        self.adj: Dict[int, Counter] = {}
-        self.loops: Counter = Counter()
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "MultiGraph":
-        mg = cls()
-        for v in g.vertices:
-            mg.adj[v] = Counter()
-        for u, v in g.edges():
-            mg.adj[u][v] += 1
-            mg.adj[v][u] += 1
-        return mg
-
-    def vertices(self) -> List[int]:
-        return list(self.adj)
-
-    def degree(self, v: int) -> int:
-        # Loops contribute 2 to the degree as usual.
-        return sum(self.adj[v].values()) + 2 * self.loops[v]
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            self.loops[u] += 1
-        else:
-            self.adj[u][v] += 1
-            self.adj[v][u] += 1
-
-    def remove_vertex(self, v: int) -> None:
-        for u in list(self.adj[v]):
-            del self.adj[u][v]
-        del self.adj[v]
-        self.loops.pop(v, None)
 
 
 def build_graph(edge_list: Iterable[Tuple[int, int]], n: int) -> Graph:

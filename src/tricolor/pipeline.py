@@ -1,22 +1,20 @@
 """End-to-end orchestration: decompose, classify, color, recombine, certify.
 
-The driver peels and splits on clique cutsets first.  Every basic leaf is
-then classified; leaves with a proper 2-cutset shed their minimal small side
-repeatedly, each side receiving its paired colorings, until the residue is
-directly colorable.  Colorings are recombined in exactly the reverse order:
-proper-2-cutset sides last-extracted first, then clique merges and peel
-replays up the tree.  The result ships as a certificate that re-validates
-offline.
+:func:`decompose` builds one tree.  Every node peels its subgraph, then
+stops, splits into components, splits on a clique cutset, or classifies
+the residual.  A residual with a proper 2-cutset keeps the minimal small
+side and hands the other side plus the pair to its one child, which goes
+through the same steps.  Coloring is one bottom-up fold over that tree, and
+the result ships as a certificate that re-validates offline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .coloring import (
     ROUTE_FALLBACK,
-    DualColorings,
     VertexColoring,
     add_back_peeled,
     color_basic,
@@ -24,28 +22,149 @@ from .coloring import (
     merge_at_clique,
     merge_at_proper2,
 )
-from .cutsets import build_clique_tree, find_clique_cutset
+from .cutsets import find_clique_cutset
 from .errors import ContractViolationError, PipelineError
-from .graph import Graph, induced_subgraph, is_connected
+from .graph import Graph, RemovalLog, connected_components, induced_subgraph, peel_low_degree
 from .patterns import VERDICT_NONMEMBER, verify_membership
 from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
     BRANCH_PROPER_2_CUTSET,
+    BasicVerdict,
     classify_basic,
 )
 
-__all__ = ["ColoringCertificate", "PipelineStats", "color_class_member", "verify_certificate"]
+__all__ = [
+    "ColoringCertificate",
+    "DecompositionTree",
+    "TreeNode",
+    "color_class_member",
+    "decompose",
+    "verify_certificate",
+]
 
 CERTIFICATE_FORMAT = "tricolor.certificate/2"
+TREE_FORMAT = "tricolor.tree/2"
 
 
-@dataclass
-class PipelineStats:
-    """Run report: one entry per basic leaf, and the fallback count."""
+# ---------------------------------------------------------------------------
+# Decomposition tree
 
-    leaf_verdicts: List[Dict] = field(default_factory=list)
-    fallback_count: int = 0
+
+@dataclass(frozen=True)
+class TreeNode:
+    """One node of the decomposition tree: an induced subgraph of the input.
+
+    ``removed`` logs the degree-<=2 peel applied at this node.  ``cutset`` is
+    the clique the peeled residual splits on (empty tuple for a plain
+    component split) or the pair of a proper 2-cutset, and None at leaves.
+    ``verdict`` classifies the residual of ``basic`` and ``proper_2_cutset``
+    nodes; a ``proper_2_cutset`` node's one child is ``side_y`` plus the pair.
+    """
+
+    node_id: int
+    layer: int
+    vertices: Tuple[int, ...]
+    removed: RemovalLog
+    cutset: Optional[Tuple[int, ...]]
+    children: Tuple[int, ...]
+    kind: str  # "empty" | "components" | "clique" | "basic" | "proper_2_cutset"
+    verdict: Optional[BasicVerdict]
+
+
+@dataclass(frozen=True)
+class DecompositionTree:
+    graph: Graph
+    nodes: Tuple[TreeNode, ...]
+    layers: int
+
+    @property
+    def root(self) -> TreeNode:
+        return self.nodes[0]
+
+    def residual_vertices(self, node: TreeNode) -> Tuple[int, ...]:
+        removed = set(node.removed.removed_vertices())
+        return tuple(v for v in node.vertices if v not in removed)
+
+    def to_json(self) -> Dict:
+        return {
+            "format": TREE_FORMAT,
+            "n": self.graph.n,
+            "m": self.graph.m,
+            "layers": self.layers,
+            "nodes": [
+                {
+                    "id": nd.node_id,
+                    "layer": nd.layer,
+                    "vertices": list(nd.vertices),
+                    "removed": nd.removed.to_json(),
+                    "cutset": list(nd.cutset) if nd.cutset is not None else None,
+                    "children": list(nd.children),
+                    "kind": nd.kind,
+                    "branch": nd.verdict.branch if nd.verdict is not None else None,
+                }
+                for nd in self.nodes
+            ],
+        }
+
+
+def decompose(g: Graph) -> DecompositionTree:
+    """Decompose by degree-<=2 peels, clique cutsets and proper 2-cutsets.
+
+    Each node peels its subgraph to fixpoint.  An empty residual ends the
+    branch; a disconnected one splits into its components (the empty
+    clique); a connected one splits on a clique cutset when it has one.
+    Otherwise the residual is basic and gets classified: in the
+    proper-2-cutset branch the node keeps the minimal small side and its
+    child is the other side plus the pair, any other verdict makes a leaf.
+    Children sit one layer deeper and get larger ids than their parent.
+    Fully peeled leaves are kept: the color replay needs their logs.  The
+    walk uses an explicit stack, so its depth does not grow with n.
+    """
+    nodes: List[Optional[TreeNode]] = []
+    stack: List[Tuple[Graph, int, int]] = []
+
+    def open_node(sub: Graph, layer: int) -> int:
+        node_id = len(nodes)
+        nodes.append(None)
+        stack.append((sub, layer, node_id))
+        return node_id
+
+    open_node(g, 1)
+    while stack:
+        sub, layer, node_id = stack.pop()
+        residual, log = peel_low_degree(sub, 2)
+        cutset: Optional[Tuple[int, ...]] = None
+        verdict: Optional[BasicVerdict] = None
+        parts: List[Tuple[int, ...]] = []
+        comps = connected_components(residual)
+        found = find_clique_cutset(residual) if len(comps) == 1 else None
+        if not comps:
+            kind = "empty"
+        elif len(comps) > 1:
+            kind, cutset, parts = "components", (), comps
+        elif found is not None:
+            cutset, comps = found
+            kind = "clique"
+            parts = [tuple(sorted(set(c) | set(cutset))) for c in comps]
+        else:
+            verdict = classify_basic(residual)
+            kind = "basic"
+            if verdict.branch == BRANCH_PROPER_2_CUTSET:
+                kind, cutset = "proper_2_cutset", verdict.cutset.pair
+                parts = [verdict.cutset.side_y + cutset]
+        child_ids = tuple(
+            open_node(induced_subgraph(residual, part), layer + 1) for part in parts
+        )
+        nodes[node_id] = TreeNode(
+            node_id, layer, sub.vertices, log, cutset, child_ids, kind, verdict
+        )
+    layers = max(nd.layer for nd in nodes)
+    return DecompositionTree(g, tuple(nodes), layers)
+
+
+# ---------------------------------------------------------------------------
+# Certificate
 
 
 @dataclass(frozen=True)
@@ -100,81 +219,42 @@ def _serialize_graph(g: Graph) -> Dict:
     return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges()]}
 
 
-def _color_basic_leaf(leaf: Graph, stats: PipelineStats) -> VertexColoring:
-    """Color one basic leaf, shedding proper-2-cutset sides while they last.
+def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
+    """Fold the tree bottom-up; returns the coloring and the fallback count.
 
-    Extracted sides stack up with their paired colorings and are merged back
-    in reverse extraction order.  The residue after an extraction can lose
-    basicness (the cutset pair may drop below degree 3, or a clique cutset
-    may appear); it then goes through the full pipeline recursively rather
-    than through another extraction, which keeps every step inside its
-    guarantees.
+    Children have larger ids than their parent, so reversed id order visits
+    every child before its parent.
     """
-    chain: List[DualColorings] = []
-    cur = leaf
-    known_basic = True
-    coloring: Optional[VertexColoring] = None
-    while True:
-        if not known_basic:
-            basic = (
-                is_connected(cur)
-                and cur.min_degree() >= 3
-                and find_clique_cutset(cur) is None
-            )
-            if not basic:
-                coloring = _color_graph(cur, stats)
-                break
-        verdict = classify_basic(cur)
-        if not chain:  # the leaf itself, not a residue
-            stats.leaf_verdicts.append({"size": cur.n, "branch": verdict.branch})
-        if verdict.branch in (BRANCH_COMPLETE_BIPARTITE, BRANCH_LINE_OF_SPARSE):
-            coloring = color_basic(cur, verdict)
-            break
-        if verdict.branch == BRANCH_PROPER_2_CUTSET:
-            cs = verdict.cutset
-            a, b = cs.pair
-            tx = induced_subgraph(cur, set(cs.side_x) | {a, b})
-            ty = induced_subgraph(cur, set(cs.side_y) | {a, b})
-            dual = dual_colorings_for_side(tx, a, b)
-            if dual.route == ROUTE_FALLBACK:
-                stats.fallback_count += 1
-            chain.append(dual)
-            cur = ty
-            known_basic = False
-            continue
-        raise PipelineError(
-            f"basic leaf fits no structure branch (verdict: {verdict.branch})",
-            payload={"leaf": _serialize_graph(cur), "verdict": verdict.branch},
-        )
-    for dual in reversed(chain):
-        coloring = merge_at_proper2(dual, coloring, *dual.pair)
-    return coloring
-
-
-def _color_graph(g: Graph, stats: PipelineStats) -> VertexColoring:
-    tree = build_clique_tree(g)
-    leaf_colorings = {
-        node.node_id: _color_basic_leaf(induced_subgraph(g, tree.residual_vertices(node)), stats)
-        for node in tree.nodes if node.kind == "basic"
-    }
-
-    # Bottom-up fold over an explicit post-order (children have larger ids
-    # than their parent, so reversed id order visits children first).
+    g = tree.graph
+    fallbacks = 0
     folded: Dict[int, VertexColoring] = {}
     for node in reversed(tree.nodes):
         if node.kind == "empty":
             residual_coloring = VertexColoring({}, 3)
         elif node.kind == "basic":
-            residual_coloring = leaf_colorings[node.node_id]
+            leaf = induced_subgraph(g, tree.residual_vertices(node))
+            if node.verdict.branch not in (BRANCH_COMPLETE_BIPARTITE, BRANCH_LINE_OF_SPARSE):
+                raise PipelineError(
+                    f"basic leaf fits no structure branch (verdict: {node.verdict.branch})",
+                    payload={"leaf": _serialize_graph(leaf), "verdict": node.verdict.branch},
+                )
+            residual_coloring = color_basic(leaf, node.verdict)
+        elif node.kind == "proper_2_cutset":
+            cs = node.verdict.cutset
+            a, b = cs.pair
+            dual = dual_colorings_for_side(induced_subgraph(g, cs.side_x + cs.pair), a, b)
+            if dual.route == ROUTE_FALLBACK:
+                fallbacks += 1
+            (child_id,) = node.children
+            residual_coloring = merge_at_proper2(dual, folded.pop(child_id), a, b)
         else:
-            pieces = []
-            for child_id in node.children:
-                child = tree.nodes[child_id]
-                child_graph = induced_subgraph(g, child.vertices)
-                pieces.append((child_graph, folded.pop(child_id)))
-            residual_coloring = merge_at_clique(pieces, node.cutset or ())
+            pieces = [
+                (induced_subgraph(g, tree.nodes[child_id].vertices), folded.pop(child_id))
+                for child_id in node.children
+            ]
+            residual_coloring = merge_at_clique(pieces, node.cutset)
         folded[node.node_id] = add_back_peeled(residual_coloring, node.removed)
-    return folded[tree.root.node_id]
+    return folded[tree.root.node_id], fallbacks
 
 
 def color_class_member(
@@ -202,9 +282,9 @@ def color_class_member(
                 "input is not a class member",
                 payload={"verdict": report.verdict, "witness": report.witness.to_json()},
             )
-    stats = PipelineStats()
     try:
-        coloring = _color_graph(g, stats)
+        tree = decompose(g)
+        coloring, fallbacks = _color_graph(tree)
     except ContractViolationError as exc:
         # A non-member can push an internal step outside its contract (for
         # example a clique cutset wider than the palette); surface that as a
@@ -224,8 +304,11 @@ def color_class_member(
         m=g.m,
         coloring=coloring,
         palette=coloring.palette_size(),
-        leaf_verdicts=tuple(stats.leaf_verdicts),
-        fallback_count=stats.fallback_count,
+        leaf_verdicts=tuple(
+            {"size": len(tree.residual_vertices(nd)), "branch": nd.verdict.branch}
+            for nd in tree.nodes if nd.verdict is not None
+        ),
+        fallback_count=fallbacks,
     )
 
 

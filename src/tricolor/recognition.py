@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .cutsets import Proper2Cutset, find_proper_2_cutset
-from .graph import Graph, MultiGraph, is_connected
+from .graph import Graph, is_connected
 from .patterns import find_diamond
 
 __all__ = [
@@ -133,41 +133,29 @@ def is_complete_bipartite(g: Graph) -> Optional[Tuple[Tuple[int, ...], Tuple[int
 def is_series_parallel(g: Graph) -> bool:
     """True iff g has no K4 minor.
 
-    Reduction worklist: drop loops, collapse parallel edges, delete vertices
-    of degree <= 1, suppress degree-2 vertices.  A simple graph that gets
-    stuck has minimum degree >= 3 and therefore a K4 minor; a graph that
-    melts away completely has none, and every rule preserves the K4-minor
-    status in both directions.
+    Reduction worklist on neighbor sets: delete vertices of degree <= 1 and
+    suppress a degree-2 vertex by joining its two neighbors.  The set
+    adjacency collapses the parallel edge a suppression can create, and no
+    loop can form because the two neighbors are distinct.  A graph that
+    gets stuck has minimum degree >= 3 and therefore a K4 minor; a graph
+    that melts away completely has none, and both rules preserve the
+    K4-minor status in both directions.
     """
-    mg = MultiGraph.from_graph(g)
-    pending = set(mg.vertices())
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    pending = set(adj)
     while pending:
         v = pending.pop()
-        if v not in mg.adj:
+        if v not in adj or len(adj[v]) > 2:
             continue
-        mg.loops.pop(v, None)
-        changed = False
-        for u, mult in list(mg.adj[v].items()):
-            if mult > 1:
-                mg.adj[v][u] = 1
-                mg.adj[u][v] = 1
-                changed = True
-        deg = sum(mg.adj[v].values())
-        if deg <= 1:
-            for u in list(mg.adj[v]):
-                pending.add(u)
-            mg.remove_vertex(v)
-            continue
-        if deg == 2:
-            x, y = list(mg.adj[v])
-            mg.remove_vertex(v)
-            mg.add_edge(x, y)
-            pending.add(x)
-            pending.add(y)
-            continue
-        if changed:
-            pending.add(v)
-    return all(sum(cnt.values()) == 0 for cnt in mg.adj.values())
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u].discard(v)
+            pending.add(u)
+        if len(nbrs) == 2:
+            x, y = nbrs
+            adj[x].add(y)
+            adj[y].add(x)
+    return not adj
 
 
 def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
@@ -238,7 +226,7 @@ def classify_basic(g: Graph) -> BasicVerdict:
     root = reconstruct_line_graph_root(g)
     if root is not None:
         return BasicVerdict(BRANCH_LINE_OF_SPARSE, root=root)
-    cutset = find_proper_2_cutset(g, minimize_small_side=True)
+    cutset = find_proper_2_cutset(g)
     if cutset is not None:
         return BasicVerdict(BRANCH_PROPER_2_CUTSET, cutset=cutset)
     if is_series_parallel(g):

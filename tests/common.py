@@ -87,3 +87,36 @@ def prism_minus_matching_edge() -> Graph:
     return build_graph(
         [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4), (2, 5)], 6
     )
+
+
+def order7_with_k33_side() -> Graph:
+    """Prism minus a matching edge sharing its apex pair with a K33.
+
+    The shape sits on 0..5 with apexes 0 and 3; the K33 has sides
+    {0, 3, 6} and {7, 8, 9}, so {0, 3} is a proper 2-cutset.
+    """
+    return build_graph(
+        [
+            (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4), (2, 5),
+            (0, 7), (0, 8), (0, 9), (3, 7), (3, 8), (3, 9),
+            (6, 7), (6, 8), (6, 9),
+        ],
+        10,
+    )
+
+
+def order7_on_prism() -> Graph:
+    """Prism minus a matching edge on 0..5, hung off a prism on 6..11.
+
+    The apexes 0 and 3 attach to 6 and 10, so {0, 3} is a proper 2-cutset
+    whose residue, the prism with two pendant attachments, is not basic.
+    """
+    return build_graph(
+        [
+            (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4), (2, 5),
+            (6, 7), (7, 8), (8, 6), (9, 10), (10, 11), (11, 9),
+            (6, 9), (7, 10), (8, 11),
+            (0, 6), (3, 10),
+        ],
+        12,
+    )

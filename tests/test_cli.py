@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from common import complete_bipartite, cycle_graph, prism_graph
+from common import complete_bipartite, cycle_graph, order7_with_k33_side, prism_graph
 from tricolor.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -112,6 +112,19 @@ class TestCommands:
         gfile = write_graph_file(tmp_path, prism_graph())
         assert main(["decompose", gfile]) == EXIT_OK
         validate(json.loads(capsys.readouterr().out), "tree")
+
+    def test_decompose_proper_2_cutset_node(self, tmp_path, capsys):
+        gfile = write_graph_file(tmp_path, order7_with_k33_side())
+        assert main(["decompose", gfile]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "tree")
+        assert doc["format"] == "tricolor.tree/2"
+        nodes = {nd["id"]: nd for nd in doc["nodes"]}
+        (cut,) = [nd for nd in doc["nodes"] if nd["kind"] == "proper_2_cutset"]
+        assert cut["cutset"] == [0, 3] and cut["branch"] == "proper_2_cutset"
+        (child_id,) = cut["children"]
+        assert nodes[child_id]["kind"] == "basic"
+        assert nodes[child_id]["branch"] == "complete_bipartite"
 
     def test_chi(self, tmp_path, capsys):
         gfile = write_graph_file(tmp_path, cycle_graph(5))
@@ -239,3 +252,9 @@ class TestExitCodeFuzz:
         capsys.readouterr()
         # The mutations reach both the parsers' rejections and real runs.
         assert {EXIT_OK, EXIT_NEGATIVE, EXIT_MALFORMED} <= seen
+        # Nesting deeper than the JSON decoder can recurse is malformed too.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        for command in ("recognize", "color", "membership"):
+            assert main([command, str(deep)]) == EXIT_MALFORMED, command
+        assert main(["verify", gfile, str(deep)]) == EXIT_MALFORMED

@@ -34,7 +34,7 @@ from tricolor import (
     subdivide,
     VertexColoring,
 )
-from tricolor.coloring import ROUTE_CYCLE, ROUTE_FALLBACK, ROUTE_LINE_ROOT, ROUTE_ORDER7
+from tricolor.coloring import ROUTE_CYCLE, ROUTE_FALLBACK, ROUTE_LINE_ROOT
 
 
 def doubled_instance(base, edge):
@@ -285,7 +285,8 @@ class TestDualColoringsForSide:
         tx = prism_minus_matching_edge()
         duals = dual_colorings_for_side(tx, 0, 3)
         assert duals.validate(tx)
-        assert duals.route == ROUTE_ORDER7
+        # Side plus helper is the line graph of a theta with paths 2, 2, 3.
+        assert duals.route == ROUTE_LINE_ROOT
 
     def test_line_root_side(self):
         h = subdivide(complete_graph(4), double_edge=(0, 1))
@@ -508,7 +509,7 @@ class TestDualSideRoutes:
                 [(perm[u], perm[v]) for u, v in base.edges()], 6
             )
             duals = dual_colorings_for_side(relabeled, perm[0], perm[3])
-            assert duals.route == "order7"
+            assert duals.route == ROUTE_LINE_ROOT
             assert duals.validate(relabeled)
 
     def test_line_root_route_over_cubic_bases(self):

@@ -6,6 +6,7 @@ from common import (
     bowtie_graph,
     complete_bipartite,
     cycle_graph,
+    order7_on_prism,
     path_graph,
     prism_graph,
     theta_graph,
@@ -14,9 +15,9 @@ from conftest import random_graph
 from tricolor import (
     ContractViolationError,
     Proper2Cutset,
-    build_clique_tree,
     build_graph,
     connected_components,
+    decompose,
     find_clique_cutset,
     find_clique_cutset_bruteforce,
     find_proper_2_cutset,
@@ -79,17 +80,20 @@ class TestFindCliqueCutset:
 
 
 class TestBuildCliqueTree:
+    """The decomposition tree of ``decompose``: peels, splits and leaves."""
+
     def test_tree_fully_peeled(self):
-        t = build_clique_tree(build_graph([(0, 1), (1, 2), (1, 3), (3, 4)], 5))
+        t = decompose(build_graph([(0, 1), (1, 2), (1, 3), (3, 4)], 5))
         assert len(t.nodes) == 1
         assert t.root.kind == "empty"
         assert len(t.root.removed) == 5
-        assert t.basic_leaves() == []
+        assert [nd for nd in t.nodes if nd.kind == "basic"] == []
 
     def test_prism_single_basic_leaf(self):
-        t = build_clique_tree(prism_graph())
+        t = decompose(prism_graph())
         assert len(t.nodes) == 1
         assert t.root.kind == "basic"
+        assert t.root.verdict.branch == "line_of_sparse"
         assert len(t.root.removed) == 0
 
     def test_glued_long_prisms_split_at_shared_vertex(self):
@@ -107,12 +111,25 @@ class TestBuildCliqueTree:
         assert verify_membership(g).verdict == "member"
         # The shared vertex alone is a clique cutset; so are edges through it.
         assert find_clique_cutset_bruteforce(g)[0] == (6,)
-        t = build_clique_tree(g)
+        t = decompose(g)
         assert t.root.kind == "clique"
         assert 6 in t.root.cutset
         assert len(t.root.children) == 2
         for child_id in t.root.children:
             assert t.nodes[child_id].kind == "empty"
+
+    def test_proper_2_cutset_node_keeps_small_side(self):
+        # The residue's node peels the two pendant attachments 0 and 3.
+        t = decompose(order7_on_prism())
+        assert t.root.kind == "proper_2_cutset"
+        assert t.root.cutset == (0, 3)
+        assert t.root.verdict.cutset.side_x == (1, 2, 4, 5)
+        (child_id,) = t.root.children
+        child = t.nodes[child_id]
+        assert child.vertices == (0, 3, 6, 7, 8, 9, 10, 11)
+        assert child.removed.removed_vertices() == (0, 3)
+        assert child.kind == "basic" and child.verdict.branch == "line_of_sparse"
+        assert child.layer == 2 and t.layers == 2
 
     def test_unit_prisms_glued_at_vertex_are_not_members(self):
         # Every unit-prism vertex lies in a triangle, so identifying any two
@@ -125,14 +142,22 @@ class TestBuildCliqueTree:
         assert rep.verdict == "nonmember" and rep.witness.kind == "bowtie"
 
     def test_children_cover_and_intersect_in_cutset(self, rng):
-        for _ in range(25):
-            g = random_graph(rng, rng.randrange(2, 12), 0.3)
-            t = build_clique_tree(g)
+        graphs = [order7_on_prism()]
+        graphs += [random_graph(rng, rng.randrange(2, 12), 0.3) for _ in range(25)]
+        for g in graphs:
+            t = decompose(g)
             for node in t.nodes:
                 if not node.children:
                     continue
                 residual = set(t.residual_vertices(node))
                 child_sets = [set(t.nodes[c].vertices) for c in node.children]
+                if node.kind == "proper_2_cutset":
+                    # One child: the residual minus the small side.
+                    cs = node.verdict.cutset
+                    assert cs.pair == node.cutset
+                    assert cs.validate(induced_subgraph(g, residual))
+                    assert child_sets == [residual - set(cs.side_x)]
+                    continue
                 assert set().union(*child_sets) == residual
                 for s1, s2 in combinations(child_sets, 2):
                     assert s1 & s2 == set(node.cutset)
@@ -140,24 +165,29 @@ class TestBuildCliqueTree:
     def test_leaves_are_basic_or_empty(self, rng):
         for _ in range(25):
             g = random_graph(rng, rng.randrange(2, 12), 0.35)
-            t = build_clique_tree(g)
-            for node in t.leaves():
+            t = decompose(g)
+            for node in [nd for nd in t.nodes if not nd.children]:
                 sub = induced_subgraph(g, t.residual_vertices(node))
                 if node.kind == "empty":
                     assert sub.n == 0
                 else:
+                    assert node.kind == "basic"
+                    assert node.verdict.branch != "proper_2_cutset"
                     assert sub.min_degree() >= 3
                     assert find_clique_cutset(sub) is None
 
     def test_reassembly_reproduces_graph(self, rng):
-        for _ in range(25):
-            g = random_graph(rng, rng.randrange(2, 12), 0.3)
-            t = build_clique_tree(g)
+        graphs = [order7_on_prism()]
+        graphs += [random_graph(rng, rng.randrange(2, 12), 0.3) for _ in range(25)]
+        for g in graphs:
+            t = decompose(g)
 
             def rebuild(node):
                 residual = set()
                 for child_id in node.children:
                     residual |= set(rebuild(t.nodes[child_id]).vertices)
+                if node.kind == "proper_2_cutset":
+                    residual |= set(node.verdict.cutset.side_x)
                 if not node.children:
                     residual = set(t.residual_vertices(node))
                 sub = induced_subgraph(g, residual)
@@ -166,9 +196,10 @@ class TestBuildCliqueTree:
             assert rebuild(t.root) == g
 
     def test_json_shape(self):
-        doc = build_clique_tree(prism_graph()).to_json()
-        assert doc["format"] == "tricolor.tree/1"
+        doc = decompose(prism_graph()).to_json()
+        assert doc["format"] == "tricolor.tree/2"
         assert doc["nodes"][0]["kind"] == "basic"
+        assert doc["nodes"][0]["branch"] == "line_of_sparse"
 
 
 def brute_force_proper_2_cutsets(g):
@@ -230,7 +261,7 @@ class TestProper2Cutset:
             if not is_connected(g):
                 continue
             checked += 1
-            mine = find_proper_2_cutset(g, minimize_small_side=True)
+            mine = find_proper_2_cutset(g)
             ref = brute_force_proper_2_cutsets(g)
             if mine is None:
                 assert ref == []
@@ -240,8 +271,3 @@ class TestProper2Cutset:
             assert len(mine.side_x) == best
             best_pair = min(c.pair for c in ref if len(c.side_x) == best)
             assert mine.pair == best_pair
-
-    def test_first_found_mode(self):
-        g = complete_bipartite(2, 4)
-        cs = find_proper_2_cutset(g, minimize_small_side=False)
-        assert cs is not None and cs.validate(g)

@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -6,6 +8,8 @@ from common import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    order7_on_prism,
+    order7_with_k33_side,
     petersen_graph,
     prism_graph,
 )
@@ -127,24 +131,18 @@ class TestProper2CutsetMachinery:
     verified proper coloring.
     """
 
-    def _order7_with_k33_side(self):
-        # Prism-minus-matching-edge on 0..5 (apexes 0 and 3) sharing the
-        # nonadjacent pair {0, 3} with a K33 whose one side is {0, 3, 6}.
-        edges = [
-            (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4), (2, 5),
-            (0, 7), (0, 8), (0, 9), (3, 7), (3, 8), (3, 9),
-            (6, 7), (6, 8), (6, 9),
-        ]
-        return build_graph(edges, 10)
-
     def test_extraction_then_bipartite_residue(self):
-        g = self._order7_with_k33_side()
+        g = order7_with_k33_side()
         assert g.min_degree() >= 3
         cert = color_class_member(g)
         assert cert.palette <= 3
         assert verify_certificate(g, cert)
         assert classify_basic(g).cutset.pair == (0, 3)
-        assert cert.leaf_verdicts[0]["branch"] == "proper_2_cutset"
+        # The residue {0, 3, 6, 7, 8, 9} is a K33 leaf of its own.
+        assert cert.leaf_verdicts == (
+            {"size": 10, "branch": "proper_2_cutset"},
+            {"size": 6, "branch": "complete_bipartite"},
+        )
         assert cert.fallback_count == 0
 
     def test_doubled_k33_exercises_fallback(self):
@@ -166,23 +164,49 @@ class TestProper2CutsetMachinery:
 
     def test_nonbasic_residue_recurses(self):
         # After shedding the 6-vertex side at (0, 3), the residue is a prism
-        # with two pendant attachments: no longer basic, so it goes back
-        # through the full pipeline (peel, then a line-graph leaf).
-        edges = [
-            (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4), (2, 5),
-            (6, 7), (7, 8), (8, 6), (9, 10), (10, 11), (11, 9),
-            (6, 9), (7, 10), (8, 11),
-            (0, 6), (3, 10),
-        ]
-        g = build_graph(edges, 12)
+        # with two pendant attachments: no longer basic, so its tree node
+        # peels them before reaching a line-graph leaf.
+        g = order7_on_prism()
         assert g.min_degree() >= 3
         cert = color_class_member(g)
         assert verify_certificate(g, cert)
         assert classify_basic(g).cutset.pair == (0, 3)
         assert cert.fallback_count == 0
-        # The second leaf is recorded by the recursive run on the residue.
+        # The second leaf is the residue's, a child of the cutset node.
         branches = [leaf["branch"] for leaf in cert.leaf_verdicts]
         assert branches == ["proper_2_cutset", "line_of_sparse"]
+
+    @staticmethod
+    def _nested_gadgets(k):
+        # Level i holds ids 6i..6i+5.  Levels 0..k-1 are the prism minus the
+        # matching edge (0, 3), joined by 0->1 and 3->5 of the next level;
+        # level k is a whole prism.  Each level hangs off a proper 2-cutset
+        # of the level after it.
+        gadget = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4), (2, 5)]
+        edges = []
+        for level in range(k + 1):
+            o = 6 * level
+            edges += [(o + u, o + v) for u, v in gadget]
+            if level < k:
+                edges += [(o, o + 7), (o + 3, o + 11)]
+            else:
+                edges.append((o, o + 3))
+        return build_graph(edges, 6 * (k + 1))
+
+    def test_nested_gadgets_without_deep_recursion(self):
+        # Every extraction leaves a residue with another proper 2-cutset;
+        # the stack depth must not grow with the number of levels.
+        g = self._nested_gadgets(10)
+        assert g.n == 66
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            cert = color_class_member(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert verify_certificate(g, cert)
+        assert len(cert.leaf_verdicts) == 11
+        assert cert.fallback_count == 0
 
     def test_impossible_side_fails_loudly(self):
         # The minimal side here is a diamond whose nonadjacent pair is
