@@ -46,6 +46,9 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 BUDGET_ENV = "TRICOLOR_BUDGET"
+# Ten times the largest scale the scaling checks cover; build_graph allocates
+# one adjacency set per vertex before reading any edge.
+MAX_VERTICES = 1_000_000
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +62,11 @@ def _int_field(token: str, lineno: int, line: str) -> int:
         return int(token)
     except ValueError:
         raise MalformedInputError(f"line {lineno}: non-integer {token!r} in {line!r}") from None
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise MalformedInputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -84,6 +92,7 @@ def parse_dimacs(text: str) -> Graph:
             raise MalformedInputError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
         raise MalformedInputError("missing problem line")
+    _check_vertex_count(n)
     return build_graph(edges, n)
 
 
@@ -101,6 +110,7 @@ def parse_graph_json(data: Dict) -> Graph:
         edges = [(int(u), int(v)) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad graph JSON: {exc}") from exc
+    _check_vertex_count(n)
     return build_graph(edges, n)
 
 
@@ -262,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--verify-membership", action="store_true",
                    help="run the membership oracle before coloring")
-    p.add_argument("--budget", type=int, default=_default_budget(),
-                   help="membership oracle size budget")
+    p.add_argument("--budget", type=int, help="membership oracle size budget")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
@@ -281,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", help="run the forbidden-pattern oracles")
     p.add_argument("file")
     add_format(p)
-    p.add_argument("--budget", type=int, default=_default_budget(),
-                   help="exact subdivision-oracle size budget")
+    p.add_argument("--budget", type=int, help="exact subdivision-oracle size budget")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("generate", help="emit a generated member or planted non-member")
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=16)
     p.add_argument("--format", choices=["col", "json"], default="col")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_generate)
 
     return parser
@@ -306,6 +314,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        # Read under every subcommand, inside this handler: a bad value exits 2.
+        env_budget = _default_budget()
+        if getattr(args, "budget", 0) is None:
+            args.budget = env_budget
         return args.func(args)
     except MalformedInputError as exc:
         logger.error("malformed input: %s", exc)

@@ -46,7 +46,6 @@ __all__ = [
 PALETTE = (0, 1, 2)
 FALLBACK_NODE_BUDGET = 3 ** 20
 
-ROUTE_CYCLE = "cycle"
 ROUTE_LINE_ROOT = "line_root"
 ROUTE_FALLBACK = "fallback"
 
@@ -154,22 +153,22 @@ def _k_colorable(g: Graph, k: int) -> Optional[Dict[int, int]]:
                 best_key, best_v = key, v
         return best_v
 
-    def bt() -> bool:
-        if len(colors) == n:
-            return True
+    # Iterative: the search goes one level per vertex.  Each frame holds a
+    # colored vertex and the colors not yet tried for it.
+    frames: List[Tuple[int, List[int]]] = []
+    while len(colors) < n:
         v = pick()
         used_nb = {colors[u] for u in g.neighbors(v) if u in colors}
         limit = min(k, max(colors.values(), default=-1) + 2)
-        for c in range(limit):
-            if c in used_nb:
-                continue
-            colors[v] = c
-            if bt():
-                return True
-            del colors[v]
-        return False
-
-    return dict(colors) if bt() else None
+        frames.append((v, [c for c in range(limit) if c not in used_nb]))
+        while not frames[-1][1]:
+            frames.pop()
+            if not frames:
+                return None
+            del colors[frames[-1][0]]
+        v, options = frames[-1]
+        colors[v] = options.pop(0)
+    return dict(colors)
 
 
 def chi_exact(g: Graph, kmax: Optional[int] = None, budget: int = 20) -> Tuple[int, VertexColoring]:
@@ -208,190 +207,46 @@ def _check_sparse_deg3(h: Graph) -> None:
             )
 
 
-def _segments(h: Graph) -> Tuple[List[List[int]], List[List[int]]]:
-    """Split the edge set into maximal degree-2 chains and pure cycles.
-
-    A segment is a vertex path whose interior vertices all have degree 2 and
-    whose endpoints do not (degree 1 or 3); a component that is entirely
-    degree 2 comes back as a closed walk with path[0] == path[-1].
-    """
-    visited: Set[Tuple[int, int]] = set()
-    segments: List[List[int]] = []
-    cycles: List[List[int]] = []
-    for s in h.vertices:
-        if h.degree(s) == 2:
-            continue
-        for t in h.neighbors(s):
-            if _ekey(s, t) in visited:
-                continue
-            path = [s, t]
-            visited.add(_ekey(s, t))
-            while h.degree(path[-1]) == 2:
-                prev, cur = path[-2], path[-1]
-                nxt = next(u for u in h.neighbors(cur) if u != prev)
-                visited.add(_ekey(cur, nxt))
-                path.append(nxt)
-            segments.append(path)
-    for v in h.vertices:
-        if h.degree(v) != 2:
-            continue
-        fresh = [u for u in h.neighbors(v) if _ekey(v, u) not in visited]
-        if not fresh:
-            continue
-        path = [v, fresh[0]]
-        visited.add(_ekey(v, fresh[0]))
-        while path[-1] != v:
-            prev, cur = path[-2], path[-1]
-            nxt = next(u for u in h.neighbors(cur) if u != prev)
-            visited.add(_ekey(cur, nxt))
-            path.append(nxt)
-        cycles.append(path)
-    return segments, cycles
-
-
-def _two_slot_coloring(pairs: List[Tuple[int, int, int]]) -> Dict[Tuple[int, int], int]:
-    """Proper 3-edge-coloring of the bipartite link structure.
-
-    ``pairs`` lists (segment id, end vertex 0, end vertex 1) for the length-2
-    chains joining two degree-3 vertices.  Each chain becomes two edges of a
-    bipartite graph (end, middle), (middle, other end); a proper 3-edge
-    coloring of that graph assigns the chain's two end colors so that they
-    differ and all ends at a degree-3 vertex are pairwise distinct.  Bipartite
-    graphs of maximum degree three are always 3-edge-colorable; coloring is
-    incremental with an alternating-path swap when the two endpoints have no
-    free color in common (the swap can never reach the opposite endpoint in a
-    bipartite graph, by parity).
-    """
-    used: Dict[object, Dict[int, Tuple[object, Tuple[int, int]]]] = {}
-    color_of: Dict[Tuple[int, int], int] = {}
-
-    def node_used(node) -> Dict[int, Tuple[object, Tuple[int, int]]]:
-        return used.setdefault(node, {})
-
-    def assign(u, v, eid, c: int) -> None:
-        node_used(u)[c] = (v, eid)
-        node_used(v)[c] = (u, eid)
-        color_of[eid] = c
-
-    def flip_from(node, alpha: int, beta: int) -> None:
-        # Walk first, then flip: the start node lacks beta, so its
-        # alpha/beta component is a path starting there.
-        chain: List[Tuple[object, object, Tuple[int, int], int]] = []
-        cur, want = node, alpha
-        while want in node_used(cur):
-            other, eid = node_used(cur)[want]
-            chain.append((cur, other, eid, want))
-            cur, want = other, beta if want == alpha else alpha
-        for u_, v_, eid, old in chain:
-            del used[u_][old]
-            del used[v_][old]
-        for u_, v_, eid, old in chain:
-            new = beta if old == alpha else alpha
-            color_of[eid] = new
-            node_used(u_)[new] = (v_, eid)
-            node_used(v_)[new] = (u_, eid)
-
-    wait: List[Tuple[object, object, Tuple[int, int]]] = []
-    for sid, end0, end1 in pairs:
-        mid = ("mid", sid)
-        wait.append((end0, mid, (sid, 0)))
-        wait.append((mid, end1, (sid, 1)))
-    for u, v, eid in wait:
-        free_u = [c for c in PALETTE if c not in node_used(u)]
-        free_v = [c for c in PALETTE if c not in node_used(v)]
-        common = sorted(set(free_u) & set(free_v))
-        if common:
-            assign(u, v, eid, common[0])
-            continue
-        alpha, beta = free_u[0], free_v[0]
-        # v lacks alpha; flipping the alpha/beta path from v frees alpha at v
-        # without touching u (u has no alpha edge and sits on the other side).
-        flip_from(v, alpha, beta)
-        assign(u, v, eid, alpha)
-    return color_of
-
-
-def _fill_open_path(path: List[int], first: Optional[int], last: Optional[int],
-                    out: Dict[Tuple[int, int], int]) -> None:
-    """Color a chain's edges given optional pinned first/last edge colors."""
-    if first is None and last is not None:
-        # Walk from the pinned end so the greedy pass starts constrained.
-        _fill_open_path(path[::-1], last, None, out)
-        return
-    k = len(path) - 1
-    cols: List[Optional[int]] = [None] * k
-    cols[0] = first if first is not None else 0
-    if k == 1:
-        if last is not None and first is not None and first != last:
-            raise ContractViolationError("single edge pinned to two colors")
-        if first is None and last is not None:
-            cols[0] = last
-        out[_ekey(path[0], path[1])] = cols[0]
-        return
-    if last is not None:
-        cols[k - 1] = last
-    for i in range(1, k - 1 if last is not None else k):
-        avoid = {cols[i - 1]}
-        if last is not None and i == k - 2:
-            avoid.add(cols[k - 1])
-        cols[i] = min(c for c in PALETTE if c not in avoid)
-    if last is not None and k >= 2:
-        if cols[k - 2] == cols[k - 1]:
-            raise ContractViolationError("pinned path coloring failed")
-    for i in range(k):
-        out[_ekey(path[i], path[i + 1])] = cols[i]
-
-
 def edge_color_sparse(h: Graph) -> EdgeColoring:
     """Proper 3-edge-coloring of a sparse graph with maximum degree <= 3.
 
-    The edges split into chains between degree-3 vertices (plus leaf chains
-    and pure cycles).  Chains of two edges between degree-3 vertices carry
-    the only global constraints; they are solved exactly on the bipartite
-    link structure, after which every degree-3 vertex hands leftover colors
-    to its remaining chain ends and each chain interior is filled greedily
-    with one step of lookahead.  Always succeeds on this class.
+    Two passes over the edges.  Hubs (degree-3 vertices) are pairwise
+    nonadjacent, so the edges at hubs form a bipartite graph of maximum
+    degree 3, colored first in Koenig's way: give (u, w) a color free at
+    both ends, or else, with alpha free at the hub u and beta free at w,
+    swap alpha and beta on the two-colored component through w's alpha-edge
+    and give (u, w) alpha.  That component is a path starting at w (w has
+    degree <= 2 and lacks beta).  Every colored edge has exactly one hub
+    end, so the path enters each hub on it by an alpha-edge and never
+    reaches u, which has none.  Every remaining edge joins two
+    vertices of degree <= 2, so at most two colored edges touch it and a
+    color is always free.  Always succeeds on this class.
     """
     _check_sparse_deg3(h)
-    segments, cycles = _segments(h)
-    # Global constraint core: two-edge chains between two degree-3 vertices.
-    k2_ids = [
-        i for i, p in enumerate(segments)
-        if len(p) == 3 and h.degree(p[0]) == 3 and h.degree(p[-1]) == 3
-    ]
-    slot_colors = _two_slot_coloring([(i, segments[i][0], segments[i][-1]) for i in k2_ids])
-    # slots[(v, segment, end)] = pinned color of that chain-end edge at v.
-    slots: Dict[Tuple[int, int, int], int] = {}
-    for i in k2_ids:
-        p = segments[i]
-        slots[(p[0], i, 0)] = slot_colors[(i, 0)]
-        slots[(p[-1], i, 1)] = slot_colors[(i, 1)]
-    # Hand leftover colors to the unpinned ends at each degree-3 vertex.
-    ends_at: Dict[int, List[Tuple[int, int]]] = {}
-    for i, p in enumerate(segments):
-        if h.degree(p[0]) == 3:
-            ends_at.setdefault(p[0], []).append((i, 0))
-        if h.degree(p[-1]) == 3:
-            ends_at.setdefault(p[-1], []).append((i, 1))
-    for v, ends in ends_at.items():
-        taken = {slots[(v, i, e)] for i, e in ends if (v, i, e) in slots}
-        leftovers = [c for c in PALETTE if c not in taken]
-        for i, e in sorted(ends):
-            if (v, i, e) not in slots:
-                slots[(v, i, e)] = leftovers.pop(0)
-    out: Dict[Tuple[int, int], int] = {}
-    for i, p in enumerate(segments):
-        first = slots.get((p[0], i, 0))
-        last = slots.get((p[-1], i, 1))
-        _fill_open_path(p, first, last, out)
-    for p in cycles:
-        k = len(p) - 1
-        for j in range(k):
-            c = j % 2
-            if j == k - 1 and k % 2 == 1:
-                c = 2
-            out[_ekey(p[j], p[j + 1])] = c
-    coloring = EdgeColoring(out, 3)
+    colors: Dict[Tuple[int, int], int] = {}
+
+    def free(v: int) -> List[int]:
+        taken = {colors.get(_ekey(v, x)) for x in h.neighbors(v)}
+        return [c for c in PALETTE if c not in taken]
+
+    for u in h.vertices:
+        if h.degree(u) != 3:
+            continue
+        for w in h.neighbors(u):
+            free_u, free_w = free(u), free(w)
+            common = [c for c in free_u if c in free_w]
+            if not common:
+                alpha, beta = free_u[0], free_w[0]
+                start = next(_ekey(w, x) for x in h.neighbors(w)
+                             if colors.get(_ekey(w, x)) == alpha)
+                for e in _color_component(h, colors, start, (alpha, beta)):
+                    colors[e] = beta if colors[e] == alpha else alpha
+                common = [alpha]
+            colors[_ekey(u, w)] = common[0]
+    for u, w in h.edges():
+        if (u, w) not in colors:
+            colors[(u, w)] = min(set(free(u)) & set(free(w)))
+    coloring = EdgeColoring(colors, 3)
     if not coloring.is_proper(h):
         raise ContractViolationError("edge coloring postcondition failed")
     return coloring
@@ -412,7 +267,7 @@ def _color_component(h: Graph, colors: Dict[Tuple[int, int], int],
         for x in (u, v):
             for y in h.neighbors(x):
                 e = _ekey(x, y)
-                if e not in comp and colors[e] in (a, b):
+                if e not in comp and colors.get(e) in (a, b):
                     comp.add(e)
                     stack.append(e)
     return comp
@@ -528,37 +383,6 @@ def color_basic(g: Graph, verdict: BasicVerdict) -> VertexColoring:
     return out
 
 
-def _cycle_duals(tx: Graph, a: int, b: int) -> DualColorings:
-    """Direct construction when the side plus the pair induces one cycle."""
-    arcs: List[List[int]] = []
-    used: Set[int] = set()
-    for start in tx.neighbors(a):
-        if start in used:
-            continue
-        path = [a, start]
-        used.add(start)
-        while path[-1] != b:
-            prev, cur = path[-2], path[-1]
-            nxt = next(u for u in tx.neighbors(cur) if u != prev)
-            path.append(nxt)
-            used.add(nxt)
-        arcs.append(path)
-    same: Dict[int, int] = {a: 0, b: 0}
-    diff: Dict[int, int] = {a: 0, b: 1}
-    for path in arcs:
-        interior = path[1:-1]
-        for idx, v in enumerate(interior):
-            same[v] = 1 if idx % 2 == 0 else 2
-        prev = diff[a]
-        for idx, v in enumerate(interior):
-            avoid = {prev}
-            if idx == len(interior) - 1:
-                avoid.add(diff[b])
-            diff[v] = min(c for c in PALETTE if c not in avoid)
-            prev = diff[v]
-    return DualColorings(VertexColoring(same, 3), VertexColoring(diff, 3), (a, b), ROUTE_CYCLE)
-
-
 def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColorings]:
     """Constructive route through the root graph of the side plus a helper vertex.
 
@@ -649,23 +473,17 @@ def dual_colorings_for_side(
 ) -> DualColorings:
     """Produce an agreeing and a disagreeing 3-coloring of a cutset side.
 
-    Constructive routes, tried in order: the side plus the pair is a single
-    cycle; the side plus a helper vertex is the line graph of a
-    doubled-chain root, which covers the 6-vertex prism minus a matching
+    Constructive route: the side plus a helper vertex is the line graph of
+    a doubled-chain root, which covers the 6-vertex prism minus a matching
     edge (its completion is the line graph of a theta with paths of lengths
-    2, 2 and 3).  If none applies, an exhaustive constrained search runs as
-    a logged fallback; its failure means the input was not a class member
-    (or exposes a bug), and is reported with the offending side serialized.
+    2, 2 and 3).  Otherwise an exhaustive constrained search runs as a
+    logged fallback; its failure means the input was not a class member (or
+    exposes a bug), and is reported with the offending side serialized.
     """
     if tx.has_edge(a, b):
         raise ContractViolationError("cutset pair must be nonadjacent")
     if not tx.has_vertex(a) or not tx.has_vertex(b):
         raise ContractViolationError("cutset pair must belong to the side graph")
-    if is_connected(tx) and all(tx.degree(v) == 2 for v in tx.vertices):
-        duals = _cycle_duals(tx, a, b)
-        if duals.validate(tx):
-            return duals
-        raise ContractViolationError("cycle-route coloring failed validation")
     helper = max(tx.vertices) + 1
     duals = _line_root_duals(tx, a, b, helper)
     if duals is not None:

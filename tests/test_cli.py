@@ -62,6 +62,9 @@ class TestGraphIO:
             parse_dimacs("p edge 2 1\ne 1 two\n")
         with pytest.raises(MalformedInputError, match="line 1"):
             parse_dimacs("p edge x 2\ne 1 2\n")
+        # Rejected before one adjacency set per vertex is allocated.
+        with pytest.raises(MalformedInputError, match="exceeds"):
+            parse_dimacs("p edge 100000000000 0\n")
 
     def test_dimacs_non_integer_exits_malformed(self, tmp_path):
         for text in ("p edge 2 1\ne 1 two\n", "p edge x 2\ne 1 2\n"):
@@ -216,6 +219,15 @@ class TestCommands:
         assert main(["membership", gfile]) == EXIT_BUDGET
         assert json.loads(capsys.readouterr().out)["budget"] == 12
 
+    def test_bad_budget_env_var_exits_malformed(self, tmp_path, capsys, monkeypatch, caplog):
+        monkeypatch.setenv("TRICOLOR_BUDGET", "abc")
+        gfile = write_graph_file(tmp_path, cycle_graph(5))
+        for argv in (["recognize", gfile], ["decompose", gfile], ["color", gfile],
+                     ["membership", gfile], ["chi", gfile], ["generate", "--kind", "sp"]):
+            assert main(argv) == EXIT_MALFORMED, argv
+        assert capsys.readouterr().out == ""
+        assert "TRICOLOR_BUDGET must be an integer" in caplog.text
+
 
 class TestExitCodeFuzz:
     """Seeded malformed inputs through ``main``: only documented exit codes."""
@@ -258,3 +270,9 @@ class TestExitCodeFuzz:
         for command in ("recognize", "color", "membership"):
             assert main([command, str(deep)]) == EXIT_MALFORMED, command
         assert main(["verify", gfile, str(deep)]) == EXIT_MALFORMED
+        # So is a vertex count too large to allocate.
+        huge_col, huge_json = tmp_path / "huge.col", tmp_path / "huge.json"
+        huge_col.write_text("p edge 100000000000 0\n")
+        huge_json.write_text('{"n": 100000000000, "edges": []}')
+        for path in (huge_col, huge_json):
+            assert main(["recognize", str(path)]) == EXIT_MALFORMED, path

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -34,7 +36,7 @@ from tricolor import (
     subdivide,
     VertexColoring,
 )
-from tricolor.coloring import ROUTE_CYCLE, ROUTE_FALLBACK, ROUTE_LINE_ROOT
+from tricolor.coloring import ROUTE_FALLBACK, ROUTE_LINE_ROOT
 
 
 def doubled_instance(base, edge):
@@ -82,6 +84,18 @@ class TestChiExact:
             assert chi == oracles.brute_chromatic(g)
             assert witness.is_proper(g)
             assert witness.palette_size() == chi
+
+    def test_long_path_without_deep_recursion(self):
+        # The backtracking goes one level per vertex; its depth must not
+        # depend on the interpreter's recursion limit.
+        g = path_graph(300)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            chi, witness = chi_exact(g, budget=300)
+        finally:
+            sys.setrecursionlimit(old)
+        assert chi == 2 and witness.is_proper(g)
 
 
 class TestEdgeColorSparse:
@@ -267,7 +281,7 @@ class TestDualColoringsForSide:
         tx = build_graph([(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)], 5)
         duals = dual_colorings_for_side(tx, 0, 1)
         assert duals.validate(tx)
-        assert duals.route == ROUTE_CYCLE
+        assert duals.route == ROUTE_FALLBACK
         # Exhaustive scan over 3^5 assignments confirms both targets exist.
         seen_same = seen_diff = False
         for assignment in all_proper_colorings(tx):
@@ -279,7 +293,7 @@ class TestDualColoringsForSide:
         tx = cycle_graph(4)
         duals = dual_colorings_for_side(tx, 0, 2)
         assert duals.validate(tx)
-        assert duals.route == ROUTE_CYCLE
+        assert duals.route == ROUTE_FALLBACK
 
     def test_order7_instance(self):
         tx = prism_minus_matching_edge()
@@ -497,7 +511,7 @@ class TestDualSideRoutes:
                 if tx.has_edge(a, b):
                     continue
                 duals = dual_colorings_for_side(tx, a, b)
-                assert duals.route == "cycle"
+                assert duals.route == ROUTE_FALLBACK
                 assert duals.validate(tx)
 
     def test_order7_route_under_relabeling(self, rng):
