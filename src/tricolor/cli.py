@@ -233,7 +233,11 @@ def _generate(kind: str, seed: int, size: int, budget: int) -> Graph:
 
 
 def cmd_generate(args) -> int:
-    g = _generate(args.kind, args.seed, args.size, args.budget)
+    try:
+        g = _generate(args.kind, args.seed, args.size, args.budget)
+    except ContractViolationError as exc:
+        # A generator refuses a size it cannot build; that is a bad argument.
+        raise MalformedInputError(str(exc)) from exc
     if args.format == "json":
         _emit(graph_to_json(g))
     else:

@@ -13,7 +13,6 @@ the root graph, never on its line graph.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -416,8 +415,7 @@ def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColoring
     )
 
 
-def _constrained_search(tx: Graph, a: int, b: int, same: bool,
-                        node_budget: int, deadline: Optional[float]) -> Optional[Dict[int, int]]:
+def _constrained_search(tx: Graph, a: int, b: int, same: bool) -> Optional[Dict[int, int]]:
     """Backtracking 3-coloring with the pair pinned equal or unequal.
 
     Iterative: the search goes one level per vertex of the side, which can
@@ -447,10 +445,8 @@ def _constrained_search(tx: Graph, a: int, b: int, same: bool,
     steps = 0
     while True:
         steps += 1
-        if steps > node_budget:
+        if steps > FALLBACK_NODE_BUDGET:
             raise BudgetExceededError("fallback search budget exhausted")
-        if deadline is not None and steps % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("fallback search deadline exceeded")
         if len(options) == len(rest):
             return colors
         v = rest[len(options)]
@@ -464,13 +460,7 @@ def _constrained_search(tx: Graph, a: int, b: int, same: bool,
         colors[rest[len(options) - 1]] = options[-1].pop(0)
 
 
-def dual_colorings_for_side(
-    tx: Graph,
-    a: int,
-    b: int,
-    node_budget: int = FALLBACK_NODE_BUDGET,
-    deadline_s: Optional[float] = None,
-) -> DualColorings:
+def dual_colorings_for_side(tx: Graph, a: int, b: int) -> DualColorings:
     """Produce an agreeing and a disagreeing 3-coloring of a cutset side.
 
     Constructive route: the side plus a helper vertex is the line graph of
@@ -478,7 +468,8 @@ def dual_colorings_for_side(
     edge (its completion is the line graph of a theta with paths of lengths
     2, 2 and 3).  Otherwise an exhaustive constrained search runs as a
     logged fallback; its failure means the input was not a class member (or
-    exposes a bug), and is reported with the offending side serialized.
+    exposes a bug), and is reported with the offending side serialized.  Past
+    ``FALLBACK_NODE_BUDGET`` steps the search raises ``BudgetExceededError``.
     """
     if tx.has_edge(a, b):
         raise ContractViolationError("cutset pair must be nonadjacent")
@@ -494,9 +485,8 @@ def dual_colorings_for_side(
         "dual coloring fell back to exhaustive search on side with n=%d (classification miss)",
         tx.n,
     )
-    deadline = time.monotonic() + deadline_s if deadline_s is not None else None
-    same = _constrained_search(tx, a, b, True, node_budget, deadline)
-    diff = _constrained_search(tx, a, b, False, node_budget, deadline)
+    same = _constrained_search(tx, a, b, True)
+    diff = _constrained_search(tx, a, b, False)
     if same is None or diff is None:
         raise PipelineError(
             "no valid paired colorings exist for the extracted side",

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractViolationError
-from .graph import Graph, connected_components, induced_subgraph, is_connected
+from .graph import Graph, connected_components, is_connected
 
 __all__ = [
     "Proper2Cutset",
@@ -80,14 +80,6 @@ def _is_clique(g: Graph, vs: Sequence[int]) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
 
 
-def _components_without(g: Graph, blocked: Set[int]) -> List[Tuple[int, ...]]:
-    remaining = [v for v in g.vertices if v not in blocked]
-    if not remaining:
-        return []
-    sub = induced_subgraph(g, remaining)
-    return connected_components(sub)
-
-
 def find_clique_cutset(g: Graph) -> Optional[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
     """Some clique cutset of a connected graph with its component partition.
 
@@ -105,7 +97,7 @@ def find_clique_cutset(g: Graph) -> Optional[Tuple[Tuple[int, ...], List[Tuple[i
             continue
         if not _is_clique(g, sorted(sep)):
             continue
-        comps = _components_without(g, sep)
+        comps = connected_components(g, sep)
         if len(comps) >= 2:
             return tuple(sorted(sep)), comps
     return None
@@ -135,7 +127,7 @@ def find_clique_cutset_bruteforce(
     for clique in sorted(_all_cliques(g), key=lambda c: (len(c), c)):
         if len(clique) >= g.n - 1:
             continue
-        comps = _components_without(g, set(clique))
+        comps = connected_components(g, clique)
         if len(comps) >= 2:
             return clique, comps
     return None
@@ -166,9 +158,7 @@ class Proper2Cutset:
             return False
         if any(g.has_edge(u, v) for u in x for v in y):
             return False
-        before = len(connected_components(g))
-        after = len(_components_without(g, {a, b}))
-        if after <= before:
+        if len(connected_components(g, {a, b})) <= len(connected_components(g)):
             return False
         return not _side_is_ab_path(g, x, a, b) and not _side_is_ab_path(g, y, a, b)
 
@@ -181,13 +171,21 @@ class Proper2Cutset:
 
 
 def _side_is_ab_path(g: Graph, side: Set[int], a: int, b: int) -> bool:
-    """Does side + {a, b} induce a path whose two ends are a and b?"""
-    sub = induced_subgraph(g, side | {a, b})
-    if sub.degree(a) != 1 or sub.degree(b) != 1:
+    """Does side + {a, b} induce a path whose two ends are a and b?
+
+    Inside side + {a, b}, a and b need exactly one neighbor and each side
+    vertex exactly two.  A path plus a disjoint cycle has the same counts, so
+    the walk from a must also reach every vertex.
+    """
+    inside = side | {a, b}
+    nbrs = {v: [u for u in g.neighbors(v) if u in inside] for v in inside}
+    if len(nbrs[a]) != 1 or len(nbrs[b]) != 1 or any(len(nbrs[v]) != 2 for v in side):
         return False
-    if any(sub.degree(v) != 2 for v in side):
-        return False
-    return is_connected(sub)
+    prev, v, length = a, nbrs[a][0], 2
+    while v != b:
+        prev, v = v, nbrs[v][1] if nbrs[v][0] == prev else nbrs[v][0]
+        length += 1
+    return length == len(inside)
 
 
 def _best_partition(
@@ -195,39 +193,30 @@ def _best_partition(
 ) -> Optional[Tuple[int, List[Tuple[int, ...]], List[Tuple[int, ...]]]]:
     """Smallest valid small side for the pair (a, b), or None.
 
-    A side fails only when it is a single component C with G[C + {a,b}] a
-    bare a-b path (a multi-component side always has a cycle, a branch, or a
-    disconnection through the pair).  That makes the minimum a short case
-    split on the component count rather than a subset search.
+    A side is invalid only when it is empty or one component forming a bare
+    a-b path with the pair.  A valid side of three or more components stays
+    valid, and shrinks, when its largest component moves to the other side.
+    So some minimum side is one component or two, and a minimum pair lies
+    among the three smallest.  Candidates are keyed by (size, component indices).
     """
-    bad = [_side_is_ab_path(g, set(c), a, b) for c in comps]
-    order = sorted(range(len(comps)), key=lambda i: (len(comps[i]), comps[i][0]))
     c = len(comps)
-    candidates: List[Tuple[int, List[int]]] = []  # (|X|, component indices of X)
-    # Single non-path component against the rest.
-    for i in order:
-        if bad[i]:
-            continue
-        rest_ok = c - 1 >= 2 or (c - 1 == 1 and not bad[next(j for j in range(c) if j != i)])
-        if rest_ok:
-            candidates.append((len(comps[i]), [i]))
-            break  # smallest such component wins among these
-    if c >= 4:
-        i, j = order[0], order[1]
-        candidates.append((len(comps[i]) + len(comps[j]), [i, j]))
-    if c == 3:
-        # Two components as X require the singleton Y to be non-path.
-        good_y = [i for i in range(c) if not bad[i]]
-        if good_y:
-            y = max(good_y, key=lambda i: (len(comps[i]), -comps[i][0]))
-            rest = [i for i in range(c) if i != y]
-            candidates.append((sum(len(comps[i]) for i in rest), rest))
-    if not candidates:
+    bad = [_side_is_ab_path(g, set(comp), a, b) for comp in comps]
+    n_bad = sum(bad)
+
+    def side_ok(count: int, count_bad: int) -> bool:
+        return count >= 2 or (count == 1 and count_bad == 0)
+
+    smallest = sorted(sorted(range(c), key=lambda i: len(comps[i]))[:3])
+    valid = [
+        (sum(len(comps[i]) for i in xs), xs)
+        for xs in [(i,) for i in range(c)] + list(combinations(smallest, 2))
+        if side_ok(len(xs), sum(bad[i] for i in xs))
+        and side_ok(c - len(xs), n_bad - sum(bad[i] for i in xs))
+    ]
+    if not valid:
         return None
-    size, xs = min(candidates, key=lambda t: (t[0], t[1]))
-    x_comps = [comps[i] for i in xs]
-    y_comps = [comps[i] for i in range(c) if i not in xs]
-    return size, x_comps, y_comps
+    size, xs = min(valid)
+    return size, [comps[i] for i in xs], [comps[i] for i in range(c) if i not in xs]
 
 
 def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
@@ -243,7 +232,7 @@ def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
     for a, b in combinations(g.vertices, 2):
         if g.has_edge(a, b):
             continue
-        comps = _components_without(g, {a, b})
+        comps = connected_components(g, {a, b})
         if len(comps) <= before:
             continue
         found = _best_partition(g, a, b, comps)
@@ -254,13 +243,7 @@ def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
             best = (size, (a, b), x_comps, y_comps)
     if best is None:
         return None
-    _, (a, b), x_comps, y_comps = best
-    return _assemble(a, b, x_comps, y_comps)
-
-
-def _assemble(a: int, b: int, x_comps: List, y_comps: List) -> Proper2Cutset:
-    side_x = tuple(sorted(v for c in x_comps for v in c))
-    side_y = tuple(sorted(v for c in y_comps for v in c))
-    if len(side_x) > len(side_y):
-        side_x, side_y = side_y, side_x
-    return Proper2Cutset((a, b), side_x, side_y)
+    # x_comps is a minimum over every valid side, so side_x is never the larger.
+    _, pair, x_comps, y_comps = best
+    side_x, side_y = (tuple(sorted(v for c in cs for v in c)) for cs in (x_comps, y_comps))
+    return Proper2Cutset(pair, side_x, side_y)

@@ -229,12 +229,14 @@ def replay_removals(residual: Graph, log: RemovalLog) -> Graph:
     return Graph.from_adjacency(adj)
 
 
-def connected_components(g: Graph) -> List[Tuple[int, ...]]:
-    """Partition of the vertex set into maximal connected sets.
+def connected_components(g: Graph, without: Iterable[int] = ()) -> List[Tuple[int, ...]]:
+    """Partition of the vertices outside ``without`` into maximal connected sets.
 
-    Each component is sorted by id and the list is sorted by smallest member.
+    The search skips the vertices of ``without``, so g - without is never
+    built.  Each component is sorted by id, and the list is sorted by smallest
+    member: a search starts only at the smallest vertex not yet reached.
     """
-    seen: Set[int] = set()
+    seen: Set[int] = set(without)
     comps: List[Tuple[int, ...]] = []
     for start in g.vertices:
         if start in seen:
@@ -250,11 +252,8 @@ def connected_components(g: Graph) -> List[Tuple[int, ...]]:
                     comp.append(u)
                     stack.append(u)
         comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    return len(connected_components(g)) <= 1

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_BUDGET = 22
+EXACT_MAX_STEPS = 20_000_000
+BOUNDED_MAX_STEPS = 200_000
 
 VERDICT_MEMBER = "member"
 VERDICT_NONMEMBER = "nonmember"
@@ -229,8 +231,7 @@ class _SubsetSearch:
     lexicographically least one.
     """
 
-    def __init__(self, g: Graph, max_steps: Optional[int] = None,
-                 rng: Optional[random.Random] = None):
+    def __init__(self, g: Graph, max_steps: int, rng: Optional[random.Random] = None):
         self.g = g
         self.max_steps = max_steps
         self.steps = 0
@@ -298,7 +299,7 @@ class _SubsetSearch:
                extension: List[int], banned: Set[int]) -> List:
         """Count one step, record a witness if ``subset`` is one, return its frame."""
         self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
+        if self.steps > self.max_steps:
             raise _StepLimit()
         if sum(1 for d in deg.values() if d == 3) == 4 and all(
             d in (2, 3) for d in deg.values()
@@ -315,39 +316,31 @@ class _StepLimit(Exception):
     pass
 
 
-def find_isk4(
-    g: Graph,
-    budget: int = DEFAULT_EXACT_BUDGET,
-    seed: int = 0,
-    max_steps: int = 20_000_000,
-    bounded_steps: int = 200_000,
-):
+def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET, seed: int = 0):
     """Search for an induced subdivision of K4.
 
     Exact mode (n <= budget) enumerates connected induced subgraphs whose
     degree profile can still become four 3s and the rest 2s; it returns the
-    lexicographically least witness or None.  Beyond the budget a seeded
-    bounded search runs instead and the result may be the string
-    ``"unknown"``.  K4 itself counts (the trivial subdivision).
+    lexicographically least witness or None, and raises after
+    ``EXACT_MAX_STEPS`` steps without one.  Beyond the budget a seeded search
+    of ``BOUNDED_MAX_STEPS`` steps runs instead and the result may be the
+    string ``"unknown"``.  K4 itself counts (the trivial subdivision).
     """
-    if g.n <= budget:
-        search = _SubsetSearch(g, max_steps=max_steps)
-        found = search.run()
-        if search.exhausted and found is None:
-            raise BudgetExceededError(
-                f"exact isk4 enumeration exceeded {max_steps} steps on n={g.n}"
-            )
-        if found is None:
-            return None
-        sub = induced_subgraph(g, found)
-        corners, paths = _witness_paths(sub)
-        return PatternWitness("isk4", found, corners, paths)
-    search = _SubsetSearch(g, max_steps=bounded_steps, rng=random.Random(seed))
+    exact = g.n <= budget
+    if exact:
+        search = _SubsetSearch(g, EXACT_MAX_STEPS)
+    else:
+        search = _SubsetSearch(g, BOUNDED_MAX_STEPS, rng=random.Random(seed))
     found = search.run()
     if found is None:
-        return VERDICT_UNKNOWN
-    sub = induced_subgraph(g, found)
-    corners, paths = _witness_paths(sub)
+        if not exact:
+            return VERDICT_UNKNOWN
+        if search.exhausted:
+            raise BudgetExceededError(
+                f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={g.n}"
+            )
+        return None
+    corners, paths = _witness_paths(induced_subgraph(g, found))
     return PatternWitness("isk4", found, corners, paths)
 
 

@@ -180,6 +180,11 @@ class TestCommands:
             doc = json.loads(capsys.readouterr().out)
             validate(doc, "graph")
 
+    def test_generate_bad_size_exits_malformed(self, capsys):
+        for kind, size in (("sp", "0"), ("diamond", "2"), ("isk4", "3")):
+            assert main(["generate", "--kind", kind, "--size", size]) == EXIT_MALFORMED
+            assert capsys.readouterr().out == ""
+
     def test_generate_color_round_trip(self, tmp_path, capsys):
         assert main(["generate", "--kind", "sp", "--seed", "2", "--size", "40"]) == EXIT_OK
         text = capsys.readouterr().out

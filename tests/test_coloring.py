@@ -352,7 +352,7 @@ class TestDualColoringsForSide:
                                   for e in g.edges()}, n)
             joined = build_graph(list(g.edges()) + [(a, b)], n)
             for same, pinned in ((True, merged), (False, joined)):
-                found = _constrained_search(g, a, b, same, 10 ** 6, None)
+                found = _constrained_search(g, a, b, same)
                 assert (found is not None) == (chi_exact(pinned)[0] <= 3)
                 if found is not None:
                     assert all(found[u] != found[v] for u, v in g.edges())

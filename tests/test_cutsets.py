@@ -254,6 +254,24 @@ class TestProper2Cutset:
     def test_prism_absent(self):
         assert find_proper_2_cutset(prism_graph()) is None
 
+    def test_two_bare_paths_beat_one_component(self):
+        # G - {0, 1} leaves the bare paths 0-2-1 and 0-3-1 and a triangle;
+        # the two one-vertex paths together are the minimum side.
+        g = build_graph([(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 6),
+                         (6, 4), (5, 1)], 7)
+        cs = find_proper_2_cutset(g)
+        assert cs.pair == (0, 1)
+        assert cs.side_x == (2, 3) and cs.side_y == (4, 5, 6)
+        assert cs.validate(g)
+
+    def test_path_plus_disjoint_triangle_is_not_a_bare_path(self):
+        # {2, 3, 4, 5} + {0, 1} has a path's degrees: 0-2-1 and the triangle.
+        g = build_graph([(0, 2), (2, 1), (3, 4), (4, 5), (5, 3), (0, 6), (1, 6),
+                         (6, 7), (7, 0)], 8)
+        cs = Proper2Cutset((0, 1), (2, 3, 4, 5), (6, 7))
+        assert cs.validate(g)
+        assert not Proper2Cutset((0, 1), (2,), (3, 4, 5, 6, 7)).validate(g)
+
     def test_matches_bruteforce_minimum(self, rng):
         checked = 0
         while checked < 140:

@@ -155,3 +155,17 @@ class TestComponents:
     def test_isolated_vertices_sorted_by_smallest_member(self):
         g = build_graph([(1, 2)], 4)
         assert connected_components(g) == [(0,), (1, 2), (3,)]
+
+    def test_without_matches_induced_subgraph(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            n = rng.randrange(1, 14)
+            g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35]))
+            q = rng.choice([0.1, 0.3, 0.6])
+            blocked = {v for v in g.vertices if rng.random() < q}
+            rest = induced_subgraph(g, [v for v in g.vertices if v not in blocked])
+            assert connected_components(g, blocked) == connected_components(rest)
+            assert connected_components(g, sorted(blocked)) == connected_components(rest)
+        g = prism_graph()
+        assert connected_components(g, set(g.vertices)) == []
+        assert connected_components(g, {0, 3}) == [(1, 2, 4, 5)]
