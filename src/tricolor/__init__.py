@@ -24,7 +24,6 @@ from .coloring import (
 from .cutsets import (
     Proper2Cutset,
     find_clique_cutset,
-    find_clique_cutset_bruteforce,
     find_proper_2_cutset,
 )
 from .errors import (
@@ -52,7 +51,6 @@ from .graph import (
     induced_subgraph,
     is_connected,
     peel_low_degree,
-    replay_removals,
 )
 from .patterns import (
     MembershipReport,

@@ -217,14 +217,13 @@ def _generate(kind: str, seed: int, size: int, budget: int) -> Graph:
     if kind == "sp":
         return gen_series_parallel(seed, size)
     if kind == "line":
-        base_order = max(4, 2 * (size // 6))
-        base = random_cubic_graph(seed, base_order)
+        base = random_cubic_graph(seed, 2 * (size // 6))
         return gen_line_of_subdivided_cubic(seed, base, double_one_edge=size % 2 == 1,
                                             budget=budget)
     if kind == "glue":
-        half = max(2, size // 2)
+        half = size // 2
         parts = [gen_series_parallel(seed * 2 + 1, half),
-                 gen_series_parallel(seed * 2 + 2, max(2, size - half))]
+                 gen_series_parallel(seed * 2 + 2, size - half)]
         return gen_glue(seed, parts, mode="vertex" if seed % 2 == 0 else "edge",
                         budget=budget)
     if kind in ("diamond", "bowtie", "isk4"):

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceededError, ContractViolationError, PipelineError
-from .graph import Graph, RemovalLog, is_connected
+from .graph import PEEL_DEGREE, Graph, RemovalLog, is_connected
 from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
@@ -505,13 +505,22 @@ def dual_colorings_for_side(tx: Graph, a: int, b: int) -> DualColorings:
 # Recombination
 
 
-def _extend_permutation(partial: Dict[int, int], k: int = 3) -> Dict[int, int]:
-    remaining_src = [c for c in range(k) if c not in partial]
-    remaining_dst = [c for c in range(k) if c not in partial.values()]
-    perm = dict(partial)
-    for s, d in zip(remaining_src, remaining_dst):
-        perm[s] = d
-    return perm
+def _align(coloring: VertexColoring, target: Dict[int, int]) -> Dict[int, int]:
+    """``coloring`` with its palette permuted to agree with ``target``.
+
+    The piece must use colors 0-2, and its colors on target's vertices must
+    map one to one onto target's colors; unused colors go to unused colors
+    in ascending order.
+    """
+    if any(c not in PALETTE for c in coloring.colors.values()):
+        raise ContractViolationError("merge expects palettes within three colors")
+    pairs = {(coloring[v], t) for v, t in target.items()}
+    if not len(pairs) == len({c for c, _ in pairs}) == len({t for _, t in pairs}):
+        raise ContractViolationError("piece colors on shared vertices do not match one to one")
+    perm = dict(pairs)
+    unused = [c for c in PALETTE if c not in perm.values()]
+    perm.update(zip([c for c in PALETTE if c not in perm], unused))
+    return {v: perm[c] for v, c in coloring.colors.items()}
 
 
 def merge_at_clique(
@@ -521,31 +530,24 @@ def merge_at_clique(
 
     The cutset's colors are pairwise distinct inside every piece (it is a
     clique), so a palette permutation aligning any piece with the first
-    always exists; the union is proper because pieces only meet in the
-    cutset.
+    always exists (a piece that breaks this raises); the union is proper
+    because pieces only meet in the cutset.
     """
     cutset = tuple(sorted(cutset))
     if len(cutset) > 3:
         raise ContractViolationError("clique cutsets larger than 3 are out of class")
     if not pieces:
         raise ContractViolationError("nothing to merge")
-    for g, coloring in pieces:
+    for g, _ in pieces:
         for v in cutset:
             if not g.has_vertex(v):
                 raise ContractViolationError(f"piece disagrees on cutset membership: {v}")
         if not all(g.has_edge(u, v) for u, v in combinations(cutset, 2)):
             raise ContractViolationError("cutset is not a clique in some piece")
-        if any(c > 2 for c in coloring.colors.values()):
-            raise ContractViolationError("merge expects palettes within three colors")
     target = {v: pieces[0][1][v] for v in cutset}
     merged: Dict[int, int] = {}
-    for g, coloring in pieces:
-        partial = {coloring[v]: target[v] for v in cutset}
-        if len(partial) != len(set(partial.values())):
-            raise ContractViolationError("cutset colors collide across pieces")
-        perm = _extend_permutation(partial)
-        for v, c in coloring.colors.items():
-            merged[v] = perm[c]
+    for _, coloring in pieces:
+        merged.update(_align(coloring, target))
     return VertexColoring(merged, 3)
 
 
@@ -562,25 +564,20 @@ def merge_at_proper2(dual: DualColorings, ty_coloring: VertexColoring,
         raise ContractViolationError("pair mismatch between dual colorings and merge")
     ta, tb = ty_coloring[a], ty_coloring[b]
     chosen = dual.same if ta == tb else dual.diff
-    partial = {chosen[a]: ta, chosen[b]: tb}
-    if len(set(partial)) != len(set(partial.values())):
-        raise ContractViolationError("inconsistent pair colors")
-    perm = _extend_permutation(partial)
     merged = dict(ty_coloring.colors)
-    for v, c in chosen.colors.items():
-        merged[v] = perm[c]
+    merged.update(_align(chosen, {a: ta, b: tb}))
     return VertexColoring(merged, 3)
 
 
 def add_back_peeled(coloring: VertexColoring, log: RemovalLog) -> VertexColoring:
     """Replay a peel in reverse, giving each vertex the least free color.
 
-    Every logged vertex had at most two neighbors when removed, so a color in
-    {0, 1, 2} is always free.
+    Every logged vertex had at most ``PEEL_DEGREE`` (two) neighbors when
+    removed, so a color in {0, 1, 2} is always free.
     """
     work = dict(coloring.colors)
     for v, nbrs in reversed(log.entries):
-        if len(nbrs) > 2:
+        if len(nbrs) > PEEL_DEGREE:
             raise ContractViolationError(
                 f"vertex {v} had {len(nbrs)} neighbors at removal time"
             )

@@ -5,8 +5,7 @@ the elimination order: any later-neighbor set that is a clique in the input
 and disconnects it is a clique minimal separator.  A graph with a clique
 cutset always exposes one this way, because a clique minimal separator is
 parallel to every other minimal separator and therefore survives into every
-minimal triangulation.  A plain enumeration oracle is kept alongside for
-cross-validation.
+minimal triangulation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .graph import Graph, connected_components, is_connected
 __all__ = [
     "Proper2Cutset",
     "find_clique_cutset",
-    "find_clique_cutset_bruteforce",
     "find_proper_2_cutset",
 ]
 
@@ -100,36 +98,6 @@ def find_clique_cutset(g: Graph) -> Optional[Tuple[Tuple[int, ...], List[Tuple[i
         comps = connected_components(g, sep)
         if len(comps) >= 2:
             return tuple(sorted(sep)), comps
-    return None
-
-
-def _all_cliques(g: Graph):
-    """Every nonempty clique, in lexicographic order of the sorted tuple."""
-    verts = g.vertices
-
-    def extend(clique: Tuple[int, ...], candidates: Sequence[int]):
-        yield clique
-        for i, v in enumerate(candidates):
-            nxt = [u for u in candidates[i + 1:] if g.has_edge(u, v)]
-            yield from extend(clique + (v,), nxt)
-
-    for i, v in enumerate(verts):
-        later = [u for u in verts[i + 1:] if g.has_edge(u, v)]
-        yield from extend((v,), later)
-
-
-def find_clique_cutset_bruteforce(
-    g: Graph,
-) -> Optional[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
-    """Independent oracle: try every clique as a cutset, smallest-lex first."""
-    if not is_connected(g):
-        raise ContractViolationError("find_clique_cutset requires a connected graph")
-    for clique in sorted(_all_cliques(g), key=lambda c: (len(c), c)):
-        if len(clique) >= g.n - 1:
-            continue
-        comps = connected_components(g, clique)
-        if len(comps) >= 2:
-            return clique, comps
     return None
 
 

@@ -37,6 +37,9 @@ __all__ = [
     "line_graph",
 ]
 
+CUBIC_TRIES = 2000
+GLUE_TRIES = 64
+
 
 def gen_series_parallel(seed: int, n: int) -> Graph:
     """Random triangle-free series-parallel graph on n vertices.
@@ -76,13 +79,13 @@ def gen_series_parallel(seed: int, n: int) -> Graph:
     return build_graph(edges, n)
 
 
-def random_cubic_graph(seed: int, k: int, max_tries: int = 2000) -> Graph:
+def random_cubic_graph(seed: int, k: int) -> Graph:
     """Random simple connected 3-regular graph on k vertices (k even, >= 4)."""
     if k < 4 or k % 2:
         raise ContractViolationError("cubic graphs need an even order of at least 4")
     rng = random.Random(seed)
     stubs = [v for v in range(k) for _ in range(3)]
-    for _ in range(max_tries):
+    for _ in range(CUBIC_TRIES):
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
         edge_set = {(min(u, v), max(u, v)) for u, v in pairs}
@@ -161,16 +164,11 @@ def gen_line_of_subdivided_cubic(
     return out
 
 
-def _relabel(g: Graph, offset: int) -> List[Tuple[int, int]]:
-    return [(u + offset, v + offset) for u, v in g.edges()]
-
-
 def gen_glue(
     seed: int,
     parts: Sequence[Graph],
     mode: str = "vertex",
     budget: int = DEFAULT_EXACT_BUDGET,
-    max_tries: int = 64,
 ) -> Graph:
     """Identify a random vertex (or edge) across two member graphs.
 
@@ -183,23 +181,21 @@ def gen_glue(
     if mode not in ("vertex", "edge"):
         raise ContractViolationError(f"unknown glue mode {mode!r}")
     g1, g2 = parts
+    if not g1.m or not g2.m:
+        # A vertex glue keeps only edge endpoints, so edgeless parts would vanish.
+        raise ContractViolationError("glue needs edges on both sides")
+    e1 = list(g1.edges())
+    off = max(g1.vertices) + 1
+    e2 = [(u + off, v + off) for u, v in g2.edges()]
     rng = random.Random(seed)
-    for _ in range(max_tries):
-        e1 = _relabel(g1, 0)
-        off = (max(g1.vertices) + 1) if g1.n else 0
-        e2 = [(u + off, v + off) for u, v in g2.edges()]
+    for _ in range(GLUE_TRIES):
         if mode == "vertex":
             v1 = g1.vertices[rng.randrange(g1.n)]
             v2 = g2.vertices[rng.randrange(g2.n)] + off
             ident = {v2: v1}
         else:
-            edges1 = list(g1.edges())
-            edges2 = list(g2.edges())
-            if not edges1 or not edges2:
-                raise ContractViolationError("edge glue needs edges on both sides")
-            a1, b1 = edges1[rng.randrange(len(edges1))]
-            a2, b2 = edges2[rng.randrange(len(edges2))]
-            a2, b2 = a2 + off, b2 + off
+            a1, b1 = e1[rng.randrange(len(e1))]
+            a2, b2 = e2[rng.randrange(len(e2))]
             if rng.random() < 0.5:
                 a2, b2 = b2, a2
             ident = {a2: a1, b2: b1}
@@ -217,7 +213,7 @@ def gen_glue(
             if verify_membership(candidate, budget=budget).verdict != "member":
                 continue
         return candidate
-    raise GenerationError(f"glue rejected {max_tries} times for seed {seed}")
+    raise GenerationError(f"glue rejected {GLUE_TRIES} times for seed {seed}")
 
 
 _PATTERNS: Dict[str, Tuple[int, List[Tuple[int, int]]]] = {

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from .errors import ContractViolationError, MalformedInputError
+from .errors import MalformedInputError
 
 __all__ = [
     "Graph",
@@ -25,8 +25,11 @@ __all__ = [
     "peel_low_degree",
     "connected_components",
     "is_connected",
-    "replay_removals",
 ]
+
+# A peeled vertex keeps at most this many neighbors, so replaying the peel
+# in reverse always finds one of three colors free.
+PEEL_DEGREE = 2
 
 
 class Graph:
@@ -182,8 +185,8 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(adj, deg_sum // 2)
 
 
-def peel_low_degree(g: Graph, threshold: int = 2) -> Tuple[Graph, RemovalLog]:
-    """Remove vertices of degree <= threshold until none remain.
+def peel_low_degree(g: Graph) -> Tuple[Graph, RemovalLog]:
+    """Remove vertices of degree <= ``PEEL_DEGREE`` until none remain.
 
     Removal order is deterministic: the lowest eligible id goes first.  The
     log records each vertex with the neighbors it had at removal time, which
@@ -191,13 +194,13 @@ def peel_low_degree(g: Graph, threshold: int = 2) -> Tuple[Graph, RemovalLog]:
     """
     deg = {v: g.degree(v) for v in g.vertices}
     alive: Dict[int, Set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
-    heap = [v for v in g.vertices if deg[v] <= threshold]
+    heap = [v for v in g.vertices if deg[v] <= PEEL_DEGREE]
     heapq.heapify(heap)
     removed: Set[int] = set()
     entries: List[Tuple[int, Tuple[int, ...]]] = []
     while heap:
         v = heapq.heappop(heap)
-        if v in removed or deg[v] > threshold:
+        if v in removed or deg[v] > PEEL_DEGREE:
             continue
         nbrs = tuple(sorted(alive[v]))
         entries.append((v, nbrs))
@@ -205,28 +208,11 @@ def peel_low_degree(g: Graph, threshold: int = 2) -> Tuple[Graph, RemovalLog]:
         for u in nbrs:
             alive[u].discard(v)
             deg[u] -= 1
-            if deg[u] <= threshold:
+            if deg[u] <= PEEL_DEGREE:
                 heapq.heappush(heap, u)
         alive[v] = set()
     residual = induced_subgraph(g, (v for v in g.vertices if v not in removed))
     return residual, RemovalLog(tuple(entries))
-
-
-def replay_removals(residual: Graph, log: RemovalLog) -> Graph:
-    """Invert a peel: add logged vertices back in reverse order."""
-    adj: Dict[int, Set[int]] = {v: set(residual.neighbors(v)) for v in residual.vertices}
-    for v, nbrs in reversed(log.entries):
-        if v in adj:
-            raise ContractViolationError(f"vertex {v} already present during replay")
-        adj[v] = set()
-        for u in nbrs:
-            if u not in adj:
-                raise ContractViolationError(
-                    f"neighbor {u} of replayed vertex {v} not present yet"
-                )
-            adj[v].add(u)
-            adj[u].add(v)
-    return Graph.from_adjacency(adj)
 
 
 def connected_components(g: Graph, without: Iterable[int] = ()) -> List[Tuple[int, ...]]:

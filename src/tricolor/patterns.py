@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError
 from .graph import Graph, induced_subgraph
@@ -51,9 +51,9 @@ class PatternWitness:
         """Independently re-check that the witness induces the claimed pattern."""
         sub = induced_subgraph(g, self.vertices)
         if self.kind == "diamond":
-            return _induces_diamond(sub)
+            return sub.n == 4 and find_diamond(sub) is not None
         if self.kind == "bowtie":
-            return _induces_bowtie(sub)
+            return sub.n == 5 and find_bowtie(sub) is not None
         if self.kind == "isk4":
             return is_k4_subdivision(sub)
         return False
@@ -90,59 +90,40 @@ class MembershipReport:
 # Structure predicates on small induced subgraphs
 
 
-def _induces_diamond(sub: Graph) -> bool:
-    if sub.n != 4 or sub.m != 5:
-        return False
-    return sorted(sub.degree(v) for v in sub.vertices) == [2, 2, 3, 3]
+def _corner_paths(sub: Graph) -> Optional[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]]:
+    """The four corners and six corner-to-corner paths of a K4 subdivision.
 
-
-def _induces_bowtie(sub: Graph) -> bool:
-    if sub.n != 5 or sub.m != 6:
-        return False
-    degs = sorted(sub.degree(v) for v in sub.vertices)
-    if degs != [2, 2, 2, 2, 4]:
-        return False
-    center = next(v for v in sub.vertices if sub.degree(v) == 4)
-    wings = [v for v in sub.vertices if v != center]
-    # The four wings must split into two adjacent pairs.
-    adj_pairs = [(a, b) for a, b in combinations(wings, 2) if sub.has_edge(a, b)]
-    return len(adj_pairs) == 2 and len({v for p in adj_pairs for v in p}) == 4
+    Returns None unless exactly four vertices have degree 3 and the rest
+    degree 2, the chains of degree-2 vertices join all six corner pairs (a
+    chain looping back to its own corner leaves at most five joined), and
+    they cover every edge with m = n + 2.  Corners are sorted; each path runs
+    from its smaller corner, in the order the corners and then their
+    neighbors come.
+    """
+    corners = tuple(sorted(v for v in sub.vertices if sub.degree(v) == 3))
+    if len(corners) != 4:
+        return None
+    if any(sub.degree(v) != 2 for v in sub.vertices if v not in corners):
+        return None
+    paths: List[Tuple[int, ...]] = []
+    for c in corners:
+        for first in sub.neighbors(c):
+            path = [c, first]
+            while path[-1] not in corners:
+                path.append(next(u for u in sub.neighbors(path[-1]) if u != path[-2]))
+            if c < path[-1]:
+                paths.append(tuple(path))
+    if {(p[0], p[-1]) for p in paths} != set(combinations(corners, 2)):
+        return None
+    # Every edge lies on exactly one corner-to-corner chain.
+    if sum(len(p) - 1 for p in paths) != sub.m or sub.m != sub.n + 2:
+        return None
+    return corners, tuple(paths)
 
 
 def is_k4_subdivision(sub: Graph) -> bool:
-    """True iff the graph is a subdivision of K4.
-
-    Checks the degree profile (exactly four degree-3 vertices, the rest
-    degree 2), connectivity, and that suppressing the degree-2 chains yields
-    a simple K4 on the four corners.
-    """
-    if sub.n < 4:
-        return False
-    corners = [v for v in sub.vertices if sub.degree(v) == 3]
-    if len(corners) != 4:
-        return False
-    if any(sub.degree(v) != 2 for v in sub.vertices if v not in corners):
-        return False
-    corner_set = set(corners)
-    pairs: Set[Tuple[int, int]] = set()
-    edges_walked = 0
-    for c in corners:
-        for first in sub.neighbors(c):
-            prev, cur = c, first
-            length = 1
-            while cur not in corner_set:
-                nxt = next(u for u in sub.neighbors(cur) if u != prev)
-                prev, cur = cur, nxt
-                length += 1
-            if cur == c:
-                return False  # a chain looping back to its own corner
-            if c < cur:
-                pairs.add((c, cur))
-                edges_walked += length
-    if pairs != set(combinations(sorted(corners), 2)):
-        return False
-    # Every edge lies on exactly one corner-to-corner chain.
-    return edges_walked == sub.m and sub.m == sub.n + 2
+    """True iff the graph is a subdivision of K4 (see :func:`_corner_paths`)."""
+    return _corner_paths(sub) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -198,76 +179,41 @@ def find_bowtie(g: Graph) -> Optional[PatternWitness]:
 # Induced-K4-subdivision search
 
 
-def _witness_paths(sub: Graph) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
-    corners = tuple(sorted(v for v in sub.vertices if sub.degree(v) == 3))
-    corner_set = set(corners)
-    paths: List[Tuple[int, ...]] = []
-    seen_pairs: Set[Tuple[int, int]] = set()
-    for c in corners:
-        for first in sub.neighbors(c):
-            prev, cur = c, first
-            path = [c, first]
-            while cur not in corner_set:
-                nxt = next(u for u in sub.neighbors(cur) if u != prev)
-                prev, cur = cur, nxt
-                path.append(cur)
-            key = (min(c, cur), max(c, cur))
-            if key not in seen_pairs:
-                seen_pairs.add(key)
-                paths.append(tuple(path))
-    return corners, tuple(paths)
-
-
-class _SubsetSearch:
+def _search(g: Graph, order: Sequence[int],
+            max_steps: int) -> Tuple[Optional[Tuple[int, ...]], bool]:
     """Enumerate connected induced subgraphs with degree-profile pruning.
 
-    Standard rooted enumeration: subsets are grouped by their minimum vertex
-    and each is visited exactly once (a vertex may enter the extension list
-    only when its first subset neighbor joins).  A branch is abandoned as
+    Subsets are grouped by their minimum vertex, taken in ``order``, and each
+    is visited once, in depth-first pre-order (a vertex enters the extension
+    list only when its first subset neighbor joins).  A branch is dropped as
     soon as some vertex reaches induced degree 4 or a fifth vertex reaches
-    induced degree 3; both conditions are monotone under growth, so the
-    pruning is sound.  Grouping by minimum vertex lets the caller stop at
-    the first root that yields any witness and still report the
-    lexicographically least one.
+    degree 3; both are monotone under growth, so the pruning is sound.
+    Returns the least witness of the first root that has one, or None, and
+    whether ``max_steps`` visits (a root is one) cut the search short; a cut
+    search returns its current root's least witness so far.  The stack is
+    explicit because the depth grows with n, past the recursion limit.  A
+    frame is [subset, induced degrees, extension list, banned set, next
+    extension index], the index -1 until the subset itself is visited.
     """
-
-    def __init__(self, g: Graph, max_steps: int, rng: Optional[random.Random] = None):
-        self.g = g
-        self.max_steps = max_steps
-        self.steps = 0
-        self.rng = rng
-        self.exhausted = False
-        self.best: Optional[Tuple[int, ...]] = None
-
-    def run(self) -> Optional[Tuple[int, ...]]:
-        order = list(self.g.vertices)
-        if self.rng is not None:
-            self.rng.shuffle(order)
-        for root in order:
-            self.best = None
-            try:
-                self._grow(root)
-            except _StepLimit:
-                self.exhausted = True
-                return self.best
-            if self.best is not None:
-                # Roots are scanned in ascending order (exact mode), so any
-                # witness rooted here beats every later root's witness.
-                return self.best
-        return None
-
-    def _grow(self, root: int) -> None:
-        """Visit every subset rooted at ``root`` in depth-first pre-order.
-
-        The stack is explicit because the depth grows with n, past the
-        interpreter's recursion limit.  A frame is [subset, induced degrees,
-        extension list, banned set, index of the next extension to try].
-        """
-        ext = [u for u in self.g.neighbors(root) if u > root]
-        stack = [self._visit([root], {root: 0}, ext, {root, *ext})]
+    steps = 0
+    for root in order:
+        best: Optional[Tuple[int, ...]] = None
+        ext = [u for u in g.neighbors(root) if u > root]
+        stack = [[[root], {root: 0}, ext, {root, *ext}, -1]]
         while stack:
             frame = stack[-1]
             subset, deg, extension, banned, i = frame
+            if i < 0:
+                steps += 1
+                if steps > max_steps:
+                    return best, True
+                if sum(1 for d in deg.values() if d == 3) == 4 and all(
+                    d in (2, 3) for d in deg.values()
+                ) and is_k4_subdivision(induced_subgraph(g, subset)):
+                    cand = tuple(sorted(subset))
+                    if best is None or cand < best:
+                        best = cand
+                i = 0
             if i == len(extension):
                 stack.pop()
                 continue
@@ -276,7 +222,7 @@ class _SubsetSearch:
             new_deg = dict(deg)
             ok = True
             add = 0
-            for u in self.g.neighbors(v):
+            for u in g.neighbors(v):
                 if u in new_deg:
                     new_deg[u] += 1
                     if new_deg[u] > 3:
@@ -288,59 +234,39 @@ class _SubsetSearch:
             new_deg[v] = add
             if sum(1 for d in new_deg.values() if d >= 3) > 4:
                 continue
-            fresh = [
-                u for u in self.g.neighbors(v)
-                if u > root and u not in banned
-            ]
-            stack.append(self._visit(subset + [v], new_deg, extension[i + 1:] + fresh,
-                                     banned | set(fresh)))
-
-    def _visit(self, subset: List[int], deg: Dict[int, int],
-               extension: List[int], banned: Set[int]) -> List:
-        """Count one step, record a witness if ``subset`` is one, return its frame."""
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise _StepLimit()
-        if sum(1 for d in deg.values() if d == 3) == 4 and all(
-            d in (2, 3) for d in deg.values()
-        ):
-            sub = induced_subgraph(self.g, subset)
-            if is_k4_subdivision(sub):
-                cand = tuple(sorted(subset))
-                if self.best is None or cand < self.best:
-                    self.best = cand
-        return [subset, deg, extension, banned, 0]
-
-
-class _StepLimit(Exception):
-    pass
+            fresh = [u for u in g.neighbors(v) if u > root and u not in banned]
+            stack.append([subset + [v], new_deg, extension[i + 1:] + fresh,
+                          banned | set(fresh), -1])
+        if best is not None:
+            return best, False
+    return None, False
 
 
 def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET, seed: int = 0):
     """Search for an induced subdivision of K4.
 
-    Exact mode (n <= budget) enumerates connected induced subgraphs whose
-    degree profile can still become four 3s and the rest 2s; it returns the
-    lexicographically least witness or None, and raises after
-    ``EXACT_MAX_STEPS`` steps without one.  Beyond the budget a seeded search
-    of ``BOUNDED_MAX_STEPS`` steps runs instead and the result may be the
-    string ``"unknown"``.  K4 itself counts (the trivial subdivision).
+    Exact mode (n <= budget) runs :func:`_search` over ascending roots, so
+    the first root with a witness holds the lexicographically least one; it
+    returns that witness or None.  Cut after ``EXACT_MAX_STEPS`` steps, it
+    returns the least witness found so far, or raises without one.  Beyond
+    the budget the roots are shuffled by ``random.Random(seed)``, the search
+    stops after ``BOUNDED_MAX_STEPS`` steps, and without a witness the result
+    is the string ``"unknown"``.  K4 itself counts (the trivial subdivision).
     """
     exact = g.n <= budget
-    if exact:
-        search = _SubsetSearch(g, EXACT_MAX_STEPS)
-    else:
-        search = _SubsetSearch(g, BOUNDED_MAX_STEPS, rng=random.Random(seed))
-    found = search.run()
+    order = list(g.vertices)
+    if not exact:
+        random.Random(seed).shuffle(order)
+    found, cut = _search(g, order, EXACT_MAX_STEPS if exact else BOUNDED_MAX_STEPS)
     if found is None:
         if not exact:
             return VERDICT_UNKNOWN
-        if search.exhausted:
+        if cut:
             raise BudgetExceededError(
                 f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={g.n}"
             )
         return None
-    corners, paths = _witness_paths(induced_subgraph(g, found))
+    corners, paths = _corner_paths(induced_subgraph(g, found))
     return PatternWitness("isk4", found, corners, paths)
 
 

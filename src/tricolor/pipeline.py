@@ -133,7 +133,7 @@ def decompose(g: Graph) -> DecompositionTree:
     open_node(g, 1)
     while stack:
         sub, layer, node_id = stack.pop()
-        residual, log = peel_low_degree(sub, 2)
+        residual, log = peel_low_degree(sub)
         cutset: Optional[Tuple[int, ...]] = None
         verdict: Optional[BasicVerdict] = None
         parts: List[Tuple[int, ...]] = []

@@ -7,11 +7,18 @@ values that the fast implementations are tested against.
 
 from collections import Counter
 from itertools import combinations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from tricolor import Graph, induced_subgraph
+from tricolor import (
+    ContractViolationError,
+    Graph,
+    RemovalLog,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -202,3 +209,50 @@ def has_triangle(g: Graph) -> bool:
         for w in g.neighbors(u)
         if w != v and g.has_edge(v, w)
     )
+
+
+def replay_removals(residual: Graph, log: RemovalLog) -> Graph:
+    """Invert a peel: add logged vertices back in reverse order."""
+    adj: Dict[int, Set[int]] = {v: set(residual.neighbors(v)) for v in residual.vertices}
+    for v, nbrs in reversed(log.entries):
+        if v in adj:
+            raise ContractViolationError(f"vertex {v} already present during replay")
+        adj[v] = set()
+        for u in nbrs:
+            if u not in adj:
+                raise ContractViolationError(
+                    f"neighbor {u} of replayed vertex {v} not present yet"
+                )
+            adj[v].add(u)
+            adj[u].add(v)
+    return Graph.from_adjacency(adj)
+
+
+def _all_cliques(g: Graph):
+    """Every nonempty clique, in lexicographic order of the sorted tuple."""
+    verts = g.vertices
+
+    def extend(clique: Tuple[int, ...], candidates: Sequence[int]):
+        yield clique
+        for i, v in enumerate(candidates):
+            nxt = [u for u in candidates[i + 1:] if g.has_edge(u, v)]
+            yield from extend(clique + (v,), nxt)
+
+    for i, v in enumerate(verts):
+        later = [u for u in verts[i + 1:] if g.has_edge(u, v)]
+        yield from extend((v,), later)
+
+
+def find_clique_cutset_bruteforce(
+    g: Graph,
+) -> Optional[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
+    """Try every clique as a cutset, smallest-lex first."""
+    if not is_connected(g):
+        raise ContractViolationError("find_clique_cutset requires a connected graph")
+    for clique in sorted(_all_cliques(g), key=lambda c: (len(c), c)):
+        if len(clique) >= g.n - 1:
+            continue
+        comps = connected_components(g, clique)
+        if len(comps) >= 2:
+            return clique, comps
+    return None

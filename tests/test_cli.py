@@ -181,7 +181,8 @@ class TestCommands:
             validate(doc, "graph")
 
     def test_generate_bad_size_exits_malformed(self, capsys):
-        for kind, size in (("sp", "0"), ("diamond", "2"), ("isk4", "3")):
+        for kind, size in (("sp", "0"), ("diamond", "2"), ("isk4", "3"), ("line", "-6"),
+                           ("line", "11"), ("glue", "0"), ("glue", "3")):
             assert main(["generate", "--kind", kind, "--size", size]) == EXIT_MALFORMED
             assert capsys.readouterr().out == ""
 

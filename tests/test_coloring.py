@@ -19,6 +19,7 @@ from conftest import random_graph
 from tricolor import (
     BudgetExceededError,
     ContractViolationError,
+    DualColorings,
     PipelineError,
     add_back_peeled,
     build_graph,
@@ -424,6 +425,16 @@ class TestMergeAtClique:
         with pytest.raises(ContractViolationError):
             merge_at_clique([(g, col)], (5,))
 
+    def test_piece_coloring_cutset_alike_rejected(self):
+        # The second piece gives both cutset vertices color 0, so no palette
+        # permutation aligns it with the first piece.
+        g = build_graph([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], 4)
+        piece1 = induced_subgraph(g, {0, 1, 2})
+        piece2 = induced_subgraph(g, {0, 1, 3})
+        with pytest.raises(ContractViolationError):
+            merge_at_clique([(piece1, VertexColoring({0: 0, 1: 1, 2: 2})),
+                             (piece2, VertexColoring({0: 0, 1: 0, 3: 1}))], (0, 1))
+
 
 class TestMergeAtProper2:
     def _setup(self):
@@ -450,6 +461,20 @@ class TestMergeAtProper2:
         duals = self._setup()
         with pytest.raises(ContractViolationError):
             merge_at_proper2(duals, VertexColoring({0: 0, 1: 1}), 0, 1)
+
+    def test_diff_half_coloring_pair_alike_rejected(self):
+        duals = self._setup()
+        broken = DualColorings(duals.same, VertexColoring({0: 1, 1: 0, 2: 1, 3: 2}),
+                               duals.pair)
+        with pytest.raises(ContractViolationError):
+            merge_at_proper2(broken, VertexColoring({0: 0, 2: 1, 7: 2}), 0, 2)
+
+    def test_fourth_color_rejected(self):
+        duals = self._setup()
+        broken = DualColorings(duals.same, VertexColoring({0: 0, 1: 3, 2: 1, 3: 3}, 4),
+                               duals.pair)
+        with pytest.raises(ContractViolationError):
+            merge_at_proper2(broken, VertexColoring({0: 0, 2: 1, 7: 2}), 0, 2)
 
 
 class TestAddBackPeeled:

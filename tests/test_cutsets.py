@@ -12,6 +12,7 @@ from common import (
     theta_graph,
 )
 from conftest import random_graph
+from oracles import find_clique_cutset_bruteforce, replay_removals
 from tricolor import (
     ContractViolationError,
     Proper2Cutset,
@@ -19,11 +20,9 @@ from tricolor import (
     connected_components,
     decompose,
     find_clique_cutset,
-    find_clique_cutset_bruteforce,
     find_proper_2_cutset,
     induced_subgraph,
     is_connected,
-    replay_removals,
     verify_membership,
 )
 

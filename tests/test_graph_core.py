@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from common import complete_bipartite, path_graph, prism_graph
 from conftest import graphs, random_graph
+from oracles import replay_removals
 from tricolor import (
     MalformedInputError,
     build_graph,
@@ -12,7 +13,6 @@ from tricolor import (
     induced_subgraph,
     is_connected,
     peel_low_degree,
-    replay_removals,
 )
 
 

@@ -2,6 +2,8 @@ import random
 import sys
 from itertools import combinations
 
+import networkx as nx
+
 import oracles
 from common import (
     bowtie_graph,
@@ -13,6 +15,7 @@ from common import (
 )
 from conftest import random_graph
 from tricolor import (
+    PatternWitness,
     build_graph,
     find_bowtie,
     find_diamond,
@@ -21,6 +24,7 @@ from tricolor import (
     subdivide,
     verify_membership,
 )
+from tricolor.patterns import is_k4_subdivision
 
 
 class TestFindDiamond:
@@ -117,6 +121,51 @@ class TestFindIsk4:
     def test_bounded_mode_unknown_on_clean_graph(self):
         g = cycle_graph(30)
         assert find_isk4(g, budget=12, seed=0) == "unknown"
+
+
+class TestPredicates:
+    def test_k4_subdivision_matches_oracle(self):
+        rng = random.Random(2718)
+        positives = 0
+        for _ in range(600):
+            n = rng.randrange(4, 11)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            m = min(len(pairs), n + rng.randrange(4))
+            g = build_graph(rng.sample(pairs, m), n)
+            expected = oracles.is_subdivision_of_k4(g)
+            assert is_k4_subdivision(g) == expected
+            positives += expected
+        assert positives >= 20
+
+    def test_k4_subdivision_named_cases(self):
+        plus_cycle = build_graph(list(subdivide(complete_graph(4)).edges())
+                                 + [(10, 11), (11, 12), (10, 12)], 13)
+        # Corner 0 carries the chain 0-4-5-0; corners 2 and 3 are joined twice.
+        own_loop = build_graph([(0, 4), (4, 5), (0, 5), (0, 1), (1, 2), (1, 3),
+                                (2, 3), (2, 6), (3, 6)], 7)
+        # Corners 0, 1 and corners 2, 3 are each joined by two chains.
+        doubled = build_graph([(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5),
+                               (0, 2), (1, 3)], 6)
+        for g in (plus_cycle, own_loop, doubled):
+            assert g.m == g.n + 2
+            assert not is_k4_subdivision(g)
+            assert not oracles.is_subdivision_of_k4(g)
+        assert is_k4_subdivision(subdivide(complete_graph(4)))
+
+    def test_witness_validate_matches_isomorphism(self, rng):
+        patterns = (("diamond", diamond_graph()), ("bowtie", bowtie_graph()))
+        found = {"diamond": 0, "bowtie": 0}
+        for p in (0.4, 0.5, 0.6, 0.7):
+            g = random_graph(rng, 8, p)
+            subsets = [s for k in (4, 5, 6) for s in combinations(g.vertices, k)]
+            for kind, pattern in patterns:
+                target = oracles.to_nx(pattern)
+                for subset in subsets:
+                    expected = nx.is_isomorphic(
+                        oracles.to_nx(induced_subgraph(g, subset)), target)
+                    assert PatternWitness(kind, subset).validate(g) == expected
+                    found[kind] += expected
+        assert min(found.values()) > 0
 
 
 class TestMembership:
