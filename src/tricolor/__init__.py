@@ -2,10 +2,10 @@
 
 The supported class excludes three induced patterns: K4 minus an edge, two
 triangles sharing a vertex, and every subdivision of K4.  Members decompose
-along degree peels, clique cutsets and proper 2-cutsets into pieces that are
-complete bipartite or line graphs of sparse max-degree-3 graphs; coloring
-those pieces and replaying the decomposition in reverse yields a verified
-proper 3-coloring.
+along degree peels, cut vertices, clique cutsets and proper 2-cutsets into
+pieces that are complete bipartite or line graphs of sparse max-degree-3
+graphs; coloring those pieces and replaying the decomposition in reverse
+yields a verified proper 3-coloring.
 """
 
 from .coloring import (
@@ -23,6 +23,7 @@ from .coloring import (
 )
 from .cutsets import (
     Proper2Cutset,
+    biconnected_blocks,
     find_clique_cutset,
     find_proper_2_cutset,
 )
@@ -71,6 +72,8 @@ from .recognition import (
     BasicVerdict,
     RootGraph,
     classify_basic,
+    classify_direct,
+    classify_residue,
     is_complete_bipartite,
     is_series_parallel,
     reconstruct_line_graph_root,

@@ -1,8 +1,8 @@
 """Color-producing machinery.
 
 Vertex side: an exact chromatic oracle (DSATUR-ordered branch and bound) and
-the merge/replay steps that recombine piece colorings across clique cutsets,
-proper 2-cutsets and degree peels.
+the merge/replay steps that recombine piece colorings across clique cutsets
+(cut vertices included), proper 2-cutsets and degree peels.
 
 Edge side: a constructive proper 3-edge-coloring for sparse max-degree-3
 graphs, and the paired colorings (one agreeing, one disagreeing on two marked
@@ -523,31 +523,26 @@ def _align(coloring: VertexColoring, target: Dict[int, int]) -> Dict[int, int]:
     return {v: perm[c] for v, c in coloring.colors.items()}
 
 
-def merge_at_clique(
-    pieces: Sequence[Tuple[Graph, VertexColoring]], cutset: Sequence[int]
-) -> VertexColoring:
-    """Union piece colorings after palette-permuting each to agree on a clique.
+def merge_at_clique(g: Graph, pieces: Sequence[VertexColoring]) -> VertexColoring:
+    """Union piece colorings, each palette-permuted to agree with those before it.
 
-    The cutset's colors are pairwise distinct inside every piece (it is a
-    clique), so a palette permutation aligning any piece with the first
-    always exists (a piece that breaks this raises); the union is proper
-    because pieces only meet in the cutset.
+    Where a piece meets the union of the pieces before it must be a clique
+    of the host graph g with at most three vertices.  Its colors there are
+    then pairwise distinct in the piece and in the union, so a palette
+    permutation aligns the two (a piece that breaks this raises).  The union
+    is proper when pieces are joined only through those cliques, as at a
+    clique cutset, a cut vertex or a component split.
     """
-    cutset = tuple(sorted(cutset))
-    if len(cutset) > 3:
-        raise ContractViolationError("clique cutsets larger than 3 are out of class")
     if not pieces:
         raise ContractViolationError("nothing to merge")
-    for g, _ in pieces:
-        for v in cutset:
-            if not g.has_vertex(v):
-                raise ContractViolationError(f"piece disagrees on cutset membership: {v}")
-        if not all(g.has_edge(u, v) for u, v in combinations(cutset, 2)):
-            raise ContractViolationError("cutset is not a clique in some piece")
-    target = {v: pieces[0][1][v] for v in cutset}
     merged: Dict[int, int] = {}
-    for _, coloring in pieces:
-        merged.update(_align(coloring, target))
+    for coloring in pieces:
+        shared = [v for v in coloring.colors if v in merged]
+        if len(shared) > 3:
+            raise ContractViolationError("clique cutsets larger than 3 are out of class")
+        if not all(g.has_edge(u, v) for u, v in combinations(shared, 2)):
+            raise ContractViolationError(f"pieces meet outside a clique: {sorted(shared)}")
+        merged.update(_align(coloring, {v: merged[v] for v in shared}))
     return VertexColoring(merged, 3)
 
 

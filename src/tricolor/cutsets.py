@@ -1,11 +1,13 @@
 """Clique-cutset and proper-2-cutset machinery.
 
-The clique cutset search runs a minimal-triangulation pass (MCS-M) and scans
-the elimination order: any later-neighbor set that is a clique in the input
-and disconnects it is a clique minimal separator.  A graph with a clique
-cutset always exposes one this way, because a clique minimal separator is
-parallel to every other minimal separator and therefore survives into every
-minimal triangulation.
+Cut vertices, the one-vertex clique cutsets, come out of one iterative
+Hopcroft-Tarjan pass that lists every block at once.  The clique cutset
+search runs a minimal-triangulation pass (MCS-M) and scans the elimination
+order: any later-neighbor set that is a clique in the input and disconnects
+it is a clique minimal separator.  A graph with a clique cutset always
+exposes one this way, because a clique minimal separator is parallel to
+every other minimal separator and therefore survives into every minimal
+triangulation.
 """
 
 from __future__ import annotations
@@ -20,9 +22,61 @@ from .graph import Graph, connected_components, is_connected
 
 __all__ = [
     "Proper2Cutset",
+    "biconnected_blocks",
     "find_clique_cutset",
     "find_proper_2_cutset",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Blocks and cut vertices
+
+
+def biconnected_blocks(g: Graph) -> List[Tuple[int, ...]]:
+    """The blocks of g, each sorted, in an order that grows each component.
+
+    A block is a maximal connected subgraph without a cut vertex of its own:
+    a bridge or a 2-connected piece.  Isolated vertices lie in no block.
+    Within each component, every block after the first meets the union of
+    the blocks before it in exactly one vertex, a cut vertex of g.  One
+    depth-first search from each component's smallest vertex (Hopcroft and
+    Tarjan, CACM 1973) with explicit stacks, so no recursion grows with n.
+    A block closes when the search backs out of it; reversing that order
+    lists each block after the one holding its top vertex.
+    """
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    blocks: List[Tuple[int, ...]] = []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        opened: List[int] = [root]  # visited vertices whose block is still open
+        frames = [(root, iter(g.neighbors(root)))]
+        closed: List[Tuple[int, ...]] = []
+        while frames:
+            v, nbrs = frames[-1]
+            for u in nbrs:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    opened.append(u)
+                    frames.append((u, iter(g.neighbors(u))))
+                    break
+                low[v] = min(low[v], index[u])
+            else:
+                frames.pop()
+                if not frames:
+                    continue
+                top = frames[-1][0]
+                low[top] = min(low[top], low[v])
+                if low[v] >= index[top]:
+                    # v's subtree hangs off top: close the block above v.
+                    block = [top]
+                    while block[-1] != v:
+                        block.append(opened.pop())
+                    closed.append(tuple(sorted(block)))
+        blocks.extend(reversed(closed))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """End-to-end orchestration: decompose, classify, color, recombine, certify.
 
 :func:`decompose` builds one tree.  Every node peels its subgraph, then
-stops, splits into components, splits on a clique cutset, or classifies
-the residual.  A residual with a proper 2-cutset keeps the minimal small
-side and hands the other side plus the pair to its one child, which goes
-through the same steps.  Coloring is one bottom-up fold over that tree, and
-the result ships as a certificate that re-validates offline.
+stops, splits into components, or tries the branches that are colored
+directly (complete bipartite, line graph of a sparse graph).  Only a
+residual they reject is split into its blocks, then on a clique cutset
+(MCS-M runs on 2-connected residues alone), and is classified last.  A
+residual with a proper 2-cutset keeps the minimal small side and hands the
+other side plus the pair to its one child, which goes through the same
+steps.  Coloring is one bottom-up fold over that tree, and the result ships
+as a certificate that re-validates offline.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -22,7 +26,7 @@ from .coloring import (
     merge_at_clique,
     merge_at_proper2,
 )
-from .cutsets import find_clique_cutset
+from .cutsets import biconnected_blocks, find_clique_cutset
 from .errors import ContractViolationError, PipelineError
 from .graph import Graph, RemovalLog, connected_components, induced_subgraph, peel_low_degree
 from .patterns import VERDICT_NONMEMBER, verify_membership
@@ -31,7 +35,8 @@ from .recognition import (
     BRANCH_LINE_OF_SPARSE,
     BRANCH_PROPER_2_CUTSET,
     BasicVerdict,
-    classify_basic,
+    classify_direct,
+    classify_residue,
 )
 
 __all__ = [
@@ -44,7 +49,7 @@ __all__ = [
 ]
 
 CERTIFICATE_FORMAT = "tricolor.certificate/2"
-TREE_FORMAT = "tricolor.tree/2"
+TREE_FORMAT = "tricolor.tree/3"
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +62,14 @@ class TreeNode:
 
     ``removed`` logs the degree-<=2 peel applied at this node.  ``cutset`` is
     the clique the peeled residual splits on (empty tuple for a plain
-    component split) or the pair of a proper 2-cutset, and None at leaves.
-    ``verdict`` classifies the residual of ``basic`` and ``proper_2_cutset``
-    nodes; a ``proper_2_cutset`` node's one child is ``side_y`` plus the pair.
+    component split), the cut vertices of a ``blocks`` node, or the pair of
+    a proper 2-cutset, and None at leaves.  A ``blocks`` node's children are
+    the blocks of its residual, each meeting the union of the earlier ones in
+    exactly one cut vertex.  ``verdict`` classifies the residual of ``basic``
+    and ``proper_2_cutset`` nodes; a ``proper_2_cutset`` node's one child is
+    ``side_y`` plus the pair.  A ``basic`` residual in the complete-bipartite
+    or line-of-sparse branch may still have a clique cutset: those branches
+    are colored without one.
     """
 
     node_id: int
@@ -68,7 +78,7 @@ class TreeNode:
     removed: RemovalLog
     cutset: Optional[Tuple[int, ...]]
     children: Tuple[int, ...]
-    kind: str  # "empty" | "components" | "clique" | "basic" | "proper_2_cutset"
+    kind: str  # "empty" | "components" | "blocks" | "clique" | "basic" | "proper_2_cutset"
     verdict: Optional[BasicVerdict]
 
 
@@ -108,15 +118,45 @@ class DecompositionTree:
         }
 
 
+def _split(
+    residual: Graph,
+) -> Tuple[str, Optional[Tuple[int, ...]], List[Tuple[int, ...]], Optional[BasicVerdict]]:
+    """Kind, cutset, child vertex sets and verdict of a node with this residual."""
+    comps = connected_components(residual)
+    if not comps:
+        return "empty", None, [], None
+    if len(comps) > 1:
+        return "components", (), comps, None
+    verdict = classify_direct(residual)
+    if verdict is not None:
+        return "basic", None, [], verdict
+    blocks = biconnected_blocks(residual)
+    if len(blocks) > 1:
+        counts = Counter(v for block in blocks for v in block)
+        return "blocks", tuple(sorted(v for v, k in counts.items() if k > 1)), blocks, None
+    found = find_clique_cutset(residual)
+    if found is not None:
+        cutset, comps = found
+        return "clique", cutset, [tuple(sorted(set(c) | set(cutset))) for c in comps], None
+    verdict = classify_residue(residual)
+    if verdict.branch == BRANCH_PROPER_2_CUTSET:
+        pair = verdict.cutset.pair
+        return "proper_2_cutset", pair, [verdict.cutset.side_y + pair], verdict
+    return "basic", None, [], verdict
+
+
 def decompose(g: Graph) -> DecompositionTree:
-    """Decompose by degree-<=2 peels, clique cutsets and proper 2-cutsets.
+    """Decompose by degree-<=2 peels, cut vertices, clique cutsets and proper 2-cutsets.
 
     Each node peels its subgraph to fixpoint.  An empty residual ends the
-    branch; a disconnected one splits into its components (the empty
-    clique); a connected one splits on a clique cutset when it has one.
-    Otherwise the residual is basic and gets classified: in the
-    proper-2-cutset branch the node keeps the minimal small side and its
-    child is the other side plus the pair, any other verdict makes a leaf.
+    branch and a disconnected one splits into its components (the empty
+    clique).  A connected one that is complete bipartite or the line graph
+    of a sparse graph is a ``basic`` leaf, clique cutsets or not.  Otherwise
+    a residual with a cut vertex splits into all its blocks at once, and a
+    2-connected one splits on a clique cutset when it has one.  What remains
+    is classified: in the proper-2-cutset branch the node keeps the minimal
+    small side and its child is the other side plus the pair, any other
+    verdict makes a leaf.  No residual is tested for a branch twice.
     Children sit one layer deeper and get larger ids than their parent.
     Fully peeled leaves are kept: the color replay needs their logs.  The
     walk uses an explicit stack, so its depth does not grow with n.
@@ -134,25 +174,7 @@ def decompose(g: Graph) -> DecompositionTree:
     while stack:
         sub, layer, node_id = stack.pop()
         residual, log = peel_low_degree(sub)
-        cutset: Optional[Tuple[int, ...]] = None
-        verdict: Optional[BasicVerdict] = None
-        parts: List[Tuple[int, ...]] = []
-        comps = connected_components(residual)
-        found = find_clique_cutset(residual) if len(comps) == 1 else None
-        if not comps:
-            kind = "empty"
-        elif len(comps) > 1:
-            kind, cutset, parts = "components", (), comps
-        elif found is not None:
-            cutset, comps = found
-            kind = "clique"
-            parts = [tuple(sorted(set(c) | set(cutset))) for c in comps]
-        else:
-            verdict = classify_basic(residual)
-            kind = "basic"
-            if verdict.branch == BRANCH_PROPER_2_CUTSET:
-                kind, cutset = "proper_2_cutset", verdict.cutset.pair
-                parts = [verdict.cutset.side_y + cutset]
+        kind, cutset, parts, verdict = _split(residual)
         child_ids = tuple(
             open_node(induced_subgraph(residual, part), layer + 1) for part in parts
         )
@@ -248,11 +270,10 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
             (child_id,) = node.children
             residual_coloring = merge_at_proper2(dual, folded.pop(child_id), a, b)
         else:
-            pieces = [
-                (induced_subgraph(g, tree.nodes[child_id].vertices), folded.pop(child_id))
-                for child_id in node.children
-            ]
-            residual_coloring = merge_at_clique(pieces, node.cutset)
+            # components, blocks or clique: children in order, each aligned
+            # where it meets the earlier ones.
+            pieces = [folded.pop(child_id) for child_id in node.children]
+            residual_coloring = merge_at_clique(g, pieces)
         folded[node.node_id] = add_back_peeled(residual_coloring, node.removed)
     return folded[tree.root.node_id], fallbacks
 

@@ -4,7 +4,11 @@ A basic graph (connected, no clique cutset, minimum degree >= 3) in the
 target class is a complete bipartite graph, the line graph of a sparse
 max-degree-3 graph, or has a proper 2-cutset.  The classifier tries those
 branches in order; a series-parallel branch is kept last so raw CLI inputs
-get a sensible verdict too.
+get a sensible verdict too.  It comes in two halves: :func:`classify_direct`
+tries the two branches that are colored directly, which need no cutset
+search and hold for some graphs with clique cutsets too, and
+:func:`classify_residue` tries the rest.  The decomposition calls the halves
+on either side of its cutset searches; :func:`classify_basic` runs both.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ __all__ = [
     "is_series_parallel",
     "reconstruct_line_graph_root",
     "classify_basic",
+    "classify_direct",
+    "classify_residue",
     "BRANCH_COMPLETE_BIPARTITE",
     "BRANCH_LINE_OF_SPARSE",
     "BRANCH_PROPER_2_CUTSET",
@@ -213,12 +219,12 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
     return root
 
 
-def classify_basic(g: Graph) -> BasicVerdict:
-    """Sort a graph into the class's constructive branches.
+def classify_direct(g: Graph) -> Optional[BasicVerdict]:
+    """The complete-bipartite or line-of-sparse verdict of g, or None.
 
-    Intended for basic graphs (connected, no clique cutset, min degree >= 3)
-    but total on any input: cheap checks run first, and the series-parallel
-    branch catches raw inputs that the decomposition would normally consume.
+    Both branches are colored directly, so their verdicts stand whether or
+    not g has a clique cutset.  Neither test searches for a cutset; each
+    costs at most about m times the maximum degree.
     """
     bip = is_complete_bipartite(g)
     if bip is not None:
@@ -226,9 +232,27 @@ def classify_basic(g: Graph) -> BasicVerdict:
     root = reconstruct_line_graph_root(g)
     if root is not None:
         return BasicVerdict(BRANCH_LINE_OF_SPARSE, root=root)
+    return None
+
+
+def classify_residue(g: Graph) -> BasicVerdict:
+    """Verdict of a graph that :func:`classify_direct` has rejected.
+
+    Proper 2-cutset, then series-parallel, then unclassified.
+    """
     cutset = find_proper_2_cutset(g)
     if cutset is not None:
         return BasicVerdict(BRANCH_PROPER_2_CUTSET, cutset=cutset)
     if is_series_parallel(g):
         return BasicVerdict(BRANCH_SERIES_PARALLEL)
     return BasicVerdict(BRANCH_UNCLASSIFIED)
+
+
+def classify_basic(g: Graph) -> BasicVerdict:
+    """Sort a graph into the class's constructive branches.
+
+    Intended for basic graphs (connected, no clique cutset, min degree >= 3)
+    but total on any input: cheap checks run first, and the series-parallel
+    branch catches raw inputs that the decomposition would normally consume.
+    """
+    return classify_direct(g) or classify_residue(g)

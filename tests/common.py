@@ -1,6 +1,6 @@
 """Small named graphs used across the test modules."""
 
-from tricolor import Graph, build_graph
+from tricolor import Graph, build_graph, line_graph, subdivide
 
 
 def path_graph(k: int) -> Graph:
@@ -120,3 +120,37 @@ def order7_on_prism() -> Graph:
         ],
         12,
     )
+
+
+def k33_line_chain(pieces: int) -> Graph:
+    """K3,3 and L(S(K4)) pieces in turn, each sharing one cut vertex with the next.
+
+    A piece is glued at its smallest vertex to the previous piece's largest.
+    Every glued vertex lies in a triangle on one side at most (K3,3 has
+    none), so no bowtie forms, and the chain is a member because its blocks
+    are: n = 1 + 5 * (K3,3 pieces) + 11 * (L(S(K4)) pieces).
+    """
+    shapes = (complete_bipartite(3, 3), line_graph(subdivide(complete_graph(4))))
+    edges = []
+    n = 1  # vertex 0 is the first piece's glue vertex
+    last = 0
+    for i in range(pieces):
+        piece = shapes[i % 2]
+        ids = {v: last if v == 0 else n + v - 1 for v in piece.vertices}
+        n += piece.n - 1
+        edges += [(ids[u], ids[v]) for u, v in piece.edges()]
+        last = ids[piece.n - 1]
+    return build_graph(edges, n)
+
+
+def bridged_cubic() -> Graph:
+    """The 10-vertex cubic graph with a bridge.
+
+    Two copies of K4, each with one edge subdivided (vertices 4 and 9), and
+    the bridge 4-9 between the subdivision vertices.
+    """
+    edges = []
+    for base in (0, 5):
+        a, b, c, d, mid = base, base + 1, base + 2, base + 3, base + 4
+        edges += [(a, c), (a, d), (b, c), (b, d), (c, d), (a, mid), (mid, b)]
+    return build_graph(edges + [(4, 9)], 10)

@@ -5,7 +5,13 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from common import complete_bipartite, cycle_graph, order7_with_k33_side, prism_graph
+from common import (
+    complete_bipartite,
+    cycle_graph,
+    k33_line_chain,
+    order7_with_k33_side,
+    prism_graph,
+)
 from tricolor.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -97,6 +103,15 @@ class TestCommands:
         cert_file.write_text(json.dumps(cert_doc))
         assert main(["verify", gfile, str(cert_file)]) == EXIT_NEGATIVE
 
+    def test_color_and_verify_long_chain(self, tmp_path, capsys):
+        g = k33_line_chain(626)
+        assert g.n == 5009
+        gfile = write_graph_file(tmp_path, g)
+        assert main(["color", gfile]) == EXIT_OK
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(capsys.readouterr().out)
+        assert main(["verify", gfile, str(cert_file)]) == EXIT_OK
+
     def test_recognize(self, tmp_path, capsys):
         gfile = write_graph_file(tmp_path, complete_bipartite(3, 3))
         assert main(["recognize", gfile]) == EXIT_OK
@@ -116,12 +131,22 @@ class TestCommands:
         assert main(["decompose", gfile]) == EXIT_OK
         validate(json.loads(capsys.readouterr().out), "tree")
 
+    def test_decompose_blocks_node(self, tmp_path, capsys):
+        gfile = write_graph_file(tmp_path, k33_line_chain(5))
+        assert main(["decompose", gfile]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "tree")
+        assert doc["layers"] == 2
+        root = doc["nodes"][0]
+        assert root["kind"] == "blocks" and root["cutset"] == [5, 16, 21, 32]
+        assert len(root["children"]) == 5
+
     def test_decompose_proper_2_cutset_node(self, tmp_path, capsys):
         gfile = write_graph_file(tmp_path, order7_with_k33_side())
         assert main(["decompose", gfile]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         validate(doc, "tree")
-        assert doc["format"] == "tricolor.tree/2"
+        assert doc["format"] == "tricolor.tree/3"
         nodes = {nd["id"]: nd for nd in doc["nodes"]}
         (cut,) = [nd for nd in doc["nodes"] if nd["kind"] == "proper_2_cutset"]
         assert cut["cutset"] == [0, 3] and cut["branch"] == "proper_2_cutset"

@@ -371,14 +371,10 @@ class TestDualColoringsForSide:
 
 class TestMergeAtClique:
     def test_two_triangles_sharing_vertex(self):
-        t1 = complete_graph(3)
-        t2 = induced_subgraph(
-            build_graph([(2, 3), (2, 4), (3, 4)], 5), {2, 3, 4}
-        )
+        g = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], 5)
         c1 = VertexColoring({0: 0, 1: 1, 2: 2})
         c2 = VertexColoring({2: 0, 3: 1, 4: 2})
-        merged = merge_at_clique([(t1, c1), (t2, c2)], (2,))
-        g = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], 5)
+        merged = merge_at_clique(g, [c1, c2])
         assert merged.is_proper(g)
 
     def test_restriction_is_palette_permutation(self, rng):
@@ -394,7 +390,7 @@ class TestMergeAtClique:
                 col2 = chi_exact(piece2, kmax=3)[1]
             except BudgetExceededError:
                 continue
-            merged = merge_at_clique([(piece1, col1), (piece2, col2)], (0, 1))
+            merged = merge_at_clique(base, [col1, col2])
             for piece, col in ((piece1, col1), (piece2, col2)):
                 mapping = {}
                 for v in piece.vertices:
@@ -406,34 +402,43 @@ class TestMergeAtClique:
         union_edges = []
         for i in range(3):
             a, b = 1 + 2 * i, 2 + 2 * i
-            edges = [(0, a), (0, b), (a, b)]
-            union_edges += edges
-            g = induced_subgraph(build_graph(union_edges, 7), {0, a, b})
-            pieces.append((g, VertexColoring({0: i % 3, a: (i + 1) % 3, b: (i + 2) % 3})))
-        merged = merge_at_clique(pieces, (0,))
-        assert merged.is_proper(build_graph(union_edges, 7))
+            union_edges += [(0, a), (0, b), (a, b)]
+            pieces.append(VertexColoring({0: i % 3, a: (i + 1) % 3, b: (i + 2) % 3}))
+        g = build_graph(union_edges, 7)
+        merged = merge_at_clique(g, pieces)
+        assert merged.is_proper(g)
 
     def test_oversized_cutset_rejected(self):
-        g = complete_graph(4)
-        col = VertexColoring({0: 0, 1: 1, 2: 2, 3: 3}, 4)
-        with pytest.raises(ContractViolationError):
-            merge_at_clique([(g, col)], (0, 1, 2, 3))
+        # Two pieces meeting in four vertices, even of a clique, are out of class.
+        g = complete_graph(5)
+        col = VertexColoring({0: 0, 1: 1, 2: 2, 3: 0})
+        with pytest.raises(ContractViolationError, match="larger than 3"):
+            merge_at_clique(g, [col, VertexColoring({**col.colors, 4: 1})])
 
-    def test_membership_disagreement_rejected(self):
-        g = complete_graph(3)
-        col = VertexColoring({0: 0, 1: 1, 2: 2})
-        with pytest.raises(ContractViolationError):
-            merge_at_clique([(g, col)], (5,))
+    def test_pieces_meeting_outside_a_clique_rejected(self):
+        # The pieces 0-1-2 and 2-3-0 of the 4-cycle meet in the nonadjacent
+        # pair {0, 2}, which is checked on the host graph.
+        g = cycle_graph(4)
+        with pytest.raises(ContractViolationError, match="outside a clique"):
+            merge_at_clique(g, [VertexColoring({0: 0, 1: 1, 2: 0}),
+                                VertexColoring({2: 0, 3: 1, 0: 2})])
 
     def test_piece_coloring_cutset_alike_rejected(self):
         # The second piece gives both cutset vertices color 0, so no palette
         # permutation aligns it with the first piece.
         g = build_graph([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], 4)
-        piece1 = induced_subgraph(g, {0, 1, 2})
-        piece2 = induced_subgraph(g, {0, 1, 3})
         with pytest.raises(ContractViolationError):
-            merge_at_clique([(piece1, VertexColoring({0: 0, 1: 1, 2: 2})),
-                             (piece2, VertexColoring({0: 0, 1: 0, 3: 1}))], (0, 1))
+            merge_at_clique(g, [VertexColoring({0: 0, 1: 1, 2: 2}),
+                                VertexColoring({0: 0, 1: 0, 3: 1})])
+
+    def test_order_of_blocks_aligns_each_at_its_cut_vertex(self):
+        # A path of three triangles: the third block meets the first two only
+        # in vertex 4, so it is aligned there alone.
+        g = build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
+                         (4, 5), (5, 6), (4, 6)], 7)
+        pieces = [VertexColoring({0: 0, 1: 1, 2: 2}), VertexColoring({2: 0, 3: 1, 4: 2}),
+                  VertexColoring({4: 0, 5: 1, 6: 2})]
+        assert merge_at_clique(g, pieces).is_proper(g)
 
 
 class TestMergeAtProper2:

@@ -1,11 +1,16 @@
+import inspect
+import sys
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from common import (
     bowtie_graph,
+    bridged_cubic,
     complete_bipartite,
     cycle_graph,
+    k33_line_chain,
     order7_on_prism,
     path_graph,
     prism_graph,
@@ -16,6 +21,7 @@ from oracles import find_clique_cutset_bruteforce, replay_removals
 from tricolor import (
     ContractViolationError,
     Proper2Cutset,
+    biconnected_blocks,
     build_graph,
     connected_components,
     decompose,
@@ -23,8 +29,15 @@ from tricolor import (
     find_proper_2_cutset,
     induced_subgraph,
     is_connected,
+    line_graph,
+    subdivide,
     verify_membership,
 )
+
+
+def fixed_graphs_with_cut_vertices():
+    """A chain of blocks, and a line-of-sparse leaf with a bridge inside."""
+    return [k33_line_chain(5), line_graph(subdivide(bridged_cubic()))]
 
 
 def assert_valid_cutset(g, found):
@@ -98,8 +111,8 @@ class TestBuildCliqueTree:
     def test_glued_long_prisms_split_at_shared_vertex(self):
         # Two prisms with one matching edge subdivided, identified at the
         # subdivision vertex: the only vertex outside all triangles.  The
-        # class oracle accepts the composite, the root splits on the cut
-        # vertex, and both sides then peel away entirely.
+        # class oracle accepts the composite, the root splits into its two
+        # blocks at the cut vertex, and both sides then peel away entirely.
         edges = [
             (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
             (0, 3), (1, 4), (2, 6), (6, 5),
@@ -111,8 +124,8 @@ class TestBuildCliqueTree:
         # The shared vertex alone is a clique cutset; so are edges through it.
         assert find_clique_cutset_bruteforce(g)[0] == (6,)
         t = decompose(g)
-        assert t.root.kind == "clique"
-        assert 6 in t.root.cutset
+        assert t.root.kind == "blocks"
+        assert t.root.cutset == (6,)
         assert len(t.root.children) == 2
         for child_id in t.root.children:
             assert t.nodes[child_id].kind == "empty"
@@ -130,6 +143,23 @@ class TestBuildCliqueTree:
         assert child.kind == "basic" and child.verdict.branch == "line_of_sparse"
         assert child.layer == 2 and t.layers == 2
 
+    def test_chain_splits_into_all_blocks_at_once(self):
+        g = k33_line_chain(5)
+        t = decompose(g)
+        assert t.root.kind == "blocks" and t.layers == 2
+        assert [t.nodes[c].vertices[0] for c in t.root.children] == [0, 5, 16, 21, 32]
+        assert [t.nodes[c].verdict.branch for c in t.root.children] == [
+            "complete_bipartite", "line_of_sparse"] * 2 + ["complete_bipartite"]
+
+    def test_line_of_sparse_leaf_keeps_its_bridge(self):
+        # L(S(H)) for a cubic H with a bridge: the bridge of H becomes a
+        # bridge of the leaf, but the leaf is colored from its root graph.
+        g = line_graph(subdivide(bridged_cubic()))
+        assert find_clique_cutset(g) is not None
+        t = decompose(g)
+        assert len(t.nodes) == 1
+        assert t.root.kind == "basic" and t.root.verdict.branch == "line_of_sparse"
+
     def test_unit_prisms_glued_at_vertex_are_not_members(self):
         # Every unit-prism vertex lies in a triangle, so identifying any two
         # vertices creates a bowtie.
@@ -141,7 +171,7 @@ class TestBuildCliqueTree:
         assert rep.verdict == "nonmember" and rep.witness.kind == "bowtie"
 
     def test_children_cover_and_intersect_in_cutset(self, rng):
-        graphs = [order7_on_prism()]
+        graphs = [order7_on_prism()] + fixed_graphs_with_cut_vertices()
         graphs += [random_graph(rng, rng.randrange(2, 12), 0.3) for _ in range(25)]
         for g in graphs:
             t = decompose(g)
@@ -158,12 +188,21 @@ class TestBuildCliqueTree:
                     assert child_sets == [residual - set(cs.side_x)]
                     continue
                 assert set().union(*child_sets) == residual
+                if node.kind == "blocks":
+                    # Each block meets the earlier ones in exactly one cut vertex.
+                    tops = set()
+                    for i in range(1, len(child_sets)):
+                        (top,) = child_sets[i] & set().union(*child_sets[:i])
+                        tops.add(top)
+                    assert tops == set(node.cutset)
+                    continue
                 for s1, s2 in combinations(child_sets, 2):
                     assert s1 & s2 == set(node.cutset)
 
     def test_leaves_are_basic_or_empty(self, rng):
-        for _ in range(25):
-            g = random_graph(rng, rng.randrange(2, 12), 0.35)
+        graphs = fixed_graphs_with_cut_vertices()
+        graphs += [random_graph(rng, rng.randrange(2, 12), 0.35) for _ in range(25)]
+        for g in graphs:
             t = decompose(g)
             for node in [nd for nd in t.nodes if not nd.children]:
                 sub = induced_subgraph(g, t.residual_vertices(node))
@@ -173,10 +212,12 @@ class TestBuildCliqueTree:
                     assert node.kind == "basic"
                     assert node.verdict.branch != "proper_2_cutset"
                     assert sub.min_degree() >= 3
-                    assert find_clique_cutset(sub) is None
+                    # Only the branches colored directly keep clique cutsets.
+                    if node.verdict.branch not in ("complete_bipartite", "line_of_sparse"):
+                        assert find_clique_cutset(sub) is None
 
     def test_reassembly_reproduces_graph(self, rng):
-        graphs = [order7_on_prism()]
+        graphs = [order7_on_prism()] + fixed_graphs_with_cut_vertices()
         graphs += [random_graph(rng, rng.randrange(2, 12), 0.3) for _ in range(25)]
         for g in graphs:
             t = decompose(g)
@@ -196,9 +237,56 @@ class TestBuildCliqueTree:
 
     def test_json_shape(self):
         doc = decompose(prism_graph()).to_json()
-        assert doc["format"] == "tricolor.tree/2"
+        assert doc["format"] == "tricolor.tree/3"
         assert doc["nodes"][0]["kind"] == "basic"
         assert doc["nodes"][0]["branch"] == "line_of_sparse"
+
+
+class TestBiconnectedBlocks:
+    @staticmethod
+    def assert_grows_each_component(g, blocks):
+        reached = {}
+        for block in blocks:
+            (comp,) = {i for i, c in enumerate(connected_components(g)) if block[0] in c}
+            if comp in reached:
+                assert len(reached[comp] & set(block)) == 1
+                reached[comp] |= set(block)
+            else:
+                reached[comp] = set(block)
+
+    def test_matches_networkx(self, rng):
+        for _ in range(300):
+            n = rng.randrange(1, 41)
+            g = random_graph(rng, n, rng.choice([2.0, 3.0, 5.0]) / n)
+            blocks = biconnected_blocks(g)
+            h = nx.Graph(list(g.edges()))
+            h.add_nodes_from(g.vertices)
+            assert sorted(blocks) == sorted(
+                tuple(sorted(b)) for b in nx.biconnected_components(h)
+            )
+            self.assert_grows_each_component(g, blocks)
+
+    def test_chain_order(self):
+        blocks = biconnected_blocks(k33_line_chain(5))
+        assert [b[0] for b in blocks] == [0, 5, 16, 21, 32]
+        self.assert_grows_each_component(k33_line_chain(5), blocks)
+
+    def test_long_inputs_without_deep_recursion(self):
+        n = 10_000
+        path = path_graph(n)
+        triangles = build_graph(
+            [e for i in range(0, n - 2, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))],
+            n - 1,
+        )
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            path_blocks = biconnected_blocks(path)
+            triangle_blocks = biconnected_blocks(triangles)
+        finally:
+            sys.setrecursionlimit(old)
+        assert path_blocks == [(i, i + 1) for i in range(n - 1)]
+        assert triangle_blocks == [(i, i + 1, i + 2) for i in range(0, n - 2, 2)]
 
 
 def brute_force_proper_2_cutsets(g):

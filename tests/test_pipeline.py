@@ -6,6 +6,7 @@ import pytest
 
 from common import (
     complete_bipartite,
+    k33_line_chain,
     complete_graph,
     cycle_graph,
     order7_on_prism,
@@ -21,9 +22,11 @@ from tricolor import (
     gen_glue,
     gen_series_parallel,
     line_graph,
+    random_cubic_graph,
     subdivide,
     verify_certificate,
 )
+from tricolor import pipeline
 from tricolor.pipeline import ColoringCertificate
 
 
@@ -119,6 +122,32 @@ class TestColorClassMember:
     def test_verify_membership_mode_accepts_member(self):
         cert = color_class_member(prism_graph(), verify_membership_first=True)
         assert cert.palette <= 3
+
+
+class TestClassifyBeforeCutsetSearch:
+    """Direct branches and the block split leave MCS-M nothing to do."""
+
+    @pytest.fixture
+    def no_clique_cutset_search(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError(f"clique cutset search ran on n={g.n}")
+
+        monkeypatch.setattr(pipeline, "find_clique_cutset", refuse)
+
+    def test_chain_splits_at_every_cut_vertex(self, no_clique_cutset_search):
+        g = k33_line_chain(150)
+        assert g.n == 1201
+        assert pipeline.decompose(g).layers == 2
+        cert = color_class_member(g)
+        assert len(cert.leaf_verdicts) == 150
+        assert verify_certificate(g, cert)
+
+    def test_line_leaf_is_classified_first(self, no_clique_cutset_search):
+        g = line_graph(subdivide(random_cubic_graph(5, 256)))
+        assert g.n == 768
+        cert = color_class_member(g)
+        assert cert.leaf_verdicts == ({"size": 768, "branch": "line_of_sparse"},)
+        assert verify_certificate(g, cert)
 
 
 class TestProper2CutsetMachinery:
