@@ -173,12 +173,14 @@ def cmd_decompose(args) -> int:
 
 def cmd_color(args) -> int:
     g = read_graph(args.file, args.format)
-    cert = color_class_member(
-        g,
-        verify_membership_first=args.verify_membership,
-        membership_budget=args.budget,
-    )
-    _emit(cert.to_json())
+    if args.verify_membership:
+        report = verify_membership(g, budget=args.budget)
+        if report.verdict == "nonmember":
+            raise PipelineError(
+                "input is not a class member",
+                payload={"verdict": report.verdict, "witness": report.witness.to_json()},
+            )
+    _emit(color_class_member(g).to_json())
     return EXIT_OK
 
 
@@ -224,8 +226,7 @@ def _generate(kind: str, seed: int, size: int, budget: int) -> Graph:
         half = size // 2
         parts = [gen_series_parallel(seed * 2 + 1, half),
                  gen_series_parallel(seed * 2 + 2, size - half)]
-        return gen_glue(seed, parts, mode="vertex" if seed % 2 == 0 else "edge",
-                        budget=budget)
+        return gen_glue(seed, parts, mode="vertex" if seed % 2 == 0 else "edge")
     if kind in ("diamond", "bowtie", "isk4"):
         return gen_nonmember(seed, kind, size)
     raise MalformedInputError(f"unknown generator kind {kind!r}")

@@ -7,10 +7,10 @@ Membership strategy per kind:
   puts them in the class outright;
 * line graphs of subdivided cubic graphs are checked against the pattern
   oracles before being emitted;
-* glued composites use rejection sampling: the polynomial oracles always
-  run, the subdivision oracle runs when the result fits its budget (the
-  patterns that can straddle a one- or two-vertex glue are exactly the
-  bowtie and the diamond, both polynomial to find).
+* glued composites are members by construction once the polynomial
+  oracles pass: an induced K4 subdivision has no clique cutset, so it cannot
+  straddle a one-vertex or one-edge glue of two members; only a diamond or
+  a bowtie can, and candidates with either are rejected and redrawn.
 """
 
 from __future__ import annotations
@@ -164,17 +164,13 @@ def gen_line_of_subdivided_cubic(
     return out
 
 
-def gen_glue(
-    seed: int,
-    parts: Sequence[Graph],
-    mode: str = "vertex",
-    budget: int = DEFAULT_EXACT_BUDGET,
-) -> Graph:
+def gen_glue(seed: int, parts: Sequence[Graph], mode: str = "vertex") -> Graph:
     """Identify a random vertex (or edge) across two member graphs.
 
     Candidate glues are rejected while the polynomial oracles find a diamond
-    or a bowtie (gluing inside triangles creates them); the subdivision
-    oracle additionally runs when the glued graph fits its budget.
+    or a bowtie (gluing inside triangles creates them).  A candidate with
+    neither is a member: the glue is a clique cutset, which no induced K4
+    subdivision has, so no subdivision oracle runs.
     """
     if len(parts) != 2:
         raise ContractViolationError("glue expects exactly two parts")
@@ -207,12 +203,8 @@ def gen_glue(
         used = sorted({x for e in merged for x in e})
         pack = {x: i for i, x in enumerate(used)}
         candidate = build_graph([(pack[u], pack[v]) for u, v in merged], len(used))
-        if find_diamond(candidate) is not None or find_bowtie(candidate) is not None:
-            continue
-        if candidate.n <= budget:
-            if verify_membership(candidate, budget=budget).verdict != "member":
-                continue
-        return candidate
+        if find_diamond(candidate) is None and find_bowtie(candidate) is None:
+            return candidate
     raise GenerationError(f"glue rejected {GLUE_TRIES} times for seed {seed}")
 
 

@@ -189,28 +189,25 @@ def peel_low_degree(g: Graph) -> Tuple[Graph, RemovalLog]:
     """Remove vertices of degree <= ``PEEL_DEGREE`` until none remain.
 
     Removal order is deterministic: the lowest eligible id goes first.  The
-    log records each vertex with the neighbors it had at removal time, which
-    is exactly what the reverse color-replay needs.
+    log records each vertex with the neighbors it had at removal time, read
+    off ``g`` minus the vertices already removed, which is exactly what the
+    reverse color-replay needs.  Degrees only fall, so a vertex enters the
+    heap once: at the start or when its degree first drops to the bound.
     """
     deg = {v: g.degree(v) for v in g.vertices}
-    alive: Dict[int, Set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
     heap = [v for v in g.vertices if deg[v] <= PEEL_DEGREE]
     heapq.heapify(heap)
     removed: Set[int] = set()
     entries: List[Tuple[int, Tuple[int, ...]]] = []
     while heap:
         v = heapq.heappop(heap)
-        if v in removed or deg[v] > PEEL_DEGREE:
-            continue
-        nbrs = tuple(sorted(alive[v]))
+        nbrs = tuple(u for u in g.neighbors(v) if u not in removed)
         entries.append((v, nbrs))
         removed.add(v)
         for u in nbrs:
-            alive[u].discard(v)
             deg[u] -= 1
-            if deg[u] <= PEEL_DEGREE:
+            if deg[u] == PEEL_DEGREE:
                 heapq.heappush(heap, u)
-        alive[v] = set()
     residual = induced_subgraph(g, (v for v in g.vertices if v not in removed))
     return residual, RemovalLog(tuple(entries))
 

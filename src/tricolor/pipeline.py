@@ -29,7 +29,6 @@ from .coloring import (
 from .cutsets import biconnected_blocks, find_clique_cutset
 from .errors import ContractViolationError, PipelineError
 from .graph import Graph, RemovalLog, connected_components, induced_subgraph, peel_low_degree
-from .patterns import VERDICT_NONMEMBER, verify_membership
 from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
@@ -278,31 +277,17 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
     return folded[tree.root.node_id], fallbacks
 
 
-def color_class_member(
-    g: Graph,
-    jobs: int = 1,
-    verify_membership_first: bool = False,
-    membership_budget: Optional[int] = None,
-) -> ColoringCertificate:
+def color_class_member(g: Graph, jobs: int = 1) -> ColoringCertificate:
     """Produce a verified 3-coloring certificate for a class member.
 
     The pipeline runs structure-directed and aborts with a serialized
     witness of the offending subgraph when an assumption fails, rather than
-    ever emitting a wrong coloring.  Membership checking is off by default
-    (the forbidden-subdivision oracle is expensive); enable it to reject
-    non-members up front within the oracle budget.  The pipeline is serial;
-    ``jobs`` must be 1.
+    ever emitting a wrong coloring.  It runs no forbidden-pattern oracle;
+    ``tricolor color --verify-membership`` runs one first.  The pipeline is
+    serial; ``jobs`` must be 1.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
-    if verify_membership_first:
-        kwargs = {} if membership_budget is None else {"budget": membership_budget}
-        report = verify_membership(g, **kwargs)
-        if report.verdict == VERDICT_NONMEMBER:
-            raise PipelineError(
-                "input is not a class member",
-                payload={"verdict": report.verdict, "witness": report.witness.to_json()},
-            )
     try:
         tree = decompose(g)
         coloring, fallbacks = _color_graph(tree)

@@ -9,17 +9,18 @@ tries the two branches that are colored directly, which need no cutset
 search and hold for some graphs with clique cutsets too, and
 :func:`classify_residue` tries the rest.  The decomposition calls the halves
 on either side of its cutset searches; :func:`classify_basic` runs both.
+No forbidden-pattern oracle runs here: the root rebuild rejects a diamond
+from the common neighbours it lists to build its cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .cutsets import Proper2Cutset, find_proper_2_cutset
 from .graph import Graph, is_connected
-from .patterns import find_diamond
 
 __all__ = [
     "BasicVerdict",
@@ -165,33 +166,34 @@ def is_series_parallel(g: Graph) -> bool:
 
 
 def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
-    """Rebuild H with g = L(H); None unless g is nonempty, connected and diamond-free.
+    """Rebuild a sparse subcubic H with g = L(H), or None.
 
-    In a diamond-free graph two distinct maximal cliques share at most one
-    vertex, so the edges partition uniquely into maximal cliques and the
+    The common neighbours of each edge are listed once.  Two of them are
+    either nonadjacent, a diamond, or adjacent, a K4 whose clique would give
+    H a vertex of degree four; either way g has no such root.  Otherwise the
+    edge lies in exactly one maximal clique, itself plus at most one common
+    neighbour, and two distinct cliques share at most one vertex, so the
     classical partition criterion applies directly: g is a line graph iff no
     vertex lies in three of those cliques.  H gets one vertex per clique
     plus a pendant vertex for every g-vertex covered only once, and one edge
-    per g-vertex.  Returns None unless H also comes out sparse with maximum
-    degree at most three.
+    per g-vertex.  Returns None unless g is nonempty and connected and H
+    comes out sparse.
     """
-    if g.n == 0 or not is_connected(g) or find_diamond(g) is not None:
+    if g.n == 0 or not is_connected(g):
         return None
     if g.n == 1:
         # An isolated vertex is the line graph of a single edge.
         only = g.vertices[0]
         h = Graph.from_adjacency({0: [1], 1: [0]})
         return RootGraph(h, {only: (0, 1)})
-    cliques: List[Tuple[int, ...]] = []
-    seen: Set[FrozenSet[int]] = set()
+    cliques: Set[Tuple[int, ...]] = set()
     for u, v in g.edges():
-        members = frozenset((u, v)) | {w for w in g.neighbors(u) if g.has_edge(v, w)}
-        if members not in seen:
-            seen.add(members)
-            cliques.append(tuple(sorted(members)))
-    cliques.sort()
+        common = [w for w in g.neighbors(u) if g.has_edge(v, w)]
+        if len(common) > 1:
+            return None
+        cliques.add(tuple(sorted([u, v, *common])))
     covering: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for idx, clique in enumerate(cliques):
+    for idx, clique in enumerate(sorted(cliques)):
         for v in clique:
             covering[v].append(idx)
     if any(len(idxs) > 2 for idxs in covering.values()):
@@ -211,7 +213,7 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
         adj[b].add(a)
         vertex_to_edge[v] = (min(a, b), max(a, b))
     root = RootGraph(Graph.from_adjacency(adj), vertex_to_edge)
-    if root.h.max_degree() > 3 or not root.is_sparse():
+    if not root.is_sparse():
         return None
     if not root.validate(g):
         # The partition criterion failed structurally (non-line input).

@@ -228,6 +228,25 @@ def replay_removals(residual: Graph, log: RemovalLog) -> Graph:
     return Graph.from_adjacency(adj)
 
 
+def reference_peel(g: Graph) -> Tuple[Tuple[int, ...], List[Tuple[int, Tuple[int, ...]]]]:
+    """Degree-<=2 peel that recomputes the eligible set at every step.
+
+    Each step removes the least vertex with at most two neighbours left and
+    records those neighbours, sorted.  Returns the residual's vertices and
+    the log entries.
+    """
+    alive = set(g.vertices)
+    entries: List[Tuple[int, Tuple[int, ...]]] = []
+    while True:
+        left = {v: sorted(u for u in g.neighbors(v) if u in alive) for v in alive}
+        eligible = [v for v, nbrs in left.items() if len(nbrs) <= 2]
+        if not eligible:
+            return tuple(sorted(alive)), entries
+        v = min(eligible)
+        alive.remove(v)
+        entries.append((v, tuple(left[v])))
+
+
 def _all_cliques(g: Graph):
     """Every nonempty clique, in lexicographic order of the sorted tuple."""
     verts = g.vertices

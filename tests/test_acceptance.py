@@ -113,7 +113,7 @@ def member_corpus():
         ]
         mode = "vertex" if glue_seed % 2 == 0 else "edge"
         try:
-            g = gen_glue(glue_seed, pool, mode, budget=0)
+            g = gen_glue(glue_seed, pool, mode)
         except GenerationError:
             continue
         if g.n <= 22:

@@ -12,6 +12,7 @@ from common import (
     order7_with_k33_side,
     prism_graph,
 )
+from tricolor import PatternWitness
 from tricolor.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -189,8 +190,24 @@ class TestCommands:
     def test_color_with_membership_check(self, tmp_path, capsys):
         from common import bowtie_graph
 
-        gfile = write_graph_file(tmp_path, bowtie_graph())
+        g = bowtie_graph()
+        gfile = write_graph_file(tmp_path, g)
+        capsys.readouterr()
         assert main(["color", gfile, "--verify-membership"]) == EXIT_NEGATIVE
+        err = capsys.readouterr().err
+        payload = json.loads(err[err.index("{"):])
+        assert payload["verdict"] == "nonmember"
+        witness = payload["witness"]
+        assert witness["kind"] == "bowtie"
+        assert PatternWitness(witness["kind"], tuple(witness["vertices"])).validate(g)
+
+    def test_color_with_membership_check_accepts_member(self, tmp_path, capsys):
+        gfile = write_graph_file(tmp_path, prism_graph())
+        assert main(["color", gfile, "--verify-membership"]) == EXIT_OK
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(capsys.readouterr().out)
+        assert main(["verify", gfile, str(cert_file)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"valid": True}
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.col"

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 import oracles
-from common import cycle_graph, prism_graph
+from common import complete_bipartite, cycle_graph, prism_graph
 from tricolor import (
     ContractViolationError,
     GenerationError,
@@ -110,6 +112,36 @@ class TestGlue:
     def test_bad_mode(self):
         with pytest.raises(ContractViolationError):
             gen_glue(0, [cycle_graph(5), cycle_graph(5)], "hyper")
+
+    def test_small_glues_are_members_under_the_exact_oracle(self):
+        # gen_glue runs only the polynomial detectors; the exact oracle
+        # (n <= its budget of 22) confirms that no K4 subdivision slips by.
+        glued = 0
+        for seed in range(1, 1000):
+            if glued == 300:
+                break
+            rng = random.Random(seed)
+
+            def member():
+                return rng.choice([
+                    gen_series_parallel(rng.randrange(10**6), rng.randrange(3, 10)),
+                    cycle_graph(rng.randrange(3, 8)),
+                    prism_graph(),
+                    complete_bipartite(2, 3),
+                    complete_bipartite(3, 3),
+                ])
+
+            parts = [member(), member()]
+            if parts[0].n + parts[1].n > 19:
+                continue
+            try:
+                g = gen_glue(seed, parts, rng.choice(["vertex", "edge"]))
+            except GenerationError:
+                continue
+            assert g.n <= 18
+            assert verify_membership(g).verdict == "member", (seed, sorted(g.edges()))
+            glued += 1
+        assert glued == 300
 
 
 class TestNonMember:

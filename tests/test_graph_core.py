@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from common import complete_bipartite, path_graph, prism_graph
 from conftest import graphs, random_graph
-from oracles import replay_removals
+from oracles import reference_peel, replay_removals
 from tricolor import (
     MalformedInputError,
     build_graph,
@@ -132,6 +132,27 @@ class TestPeel:
                 alive[u].discard(v)
             del alive[v]
         assert set(alive) == set(residual.vertices)
+
+    def test_matches_reference_peel(self, rng):
+        # Random graphs of mixed density, half of them with a hub of degree
+        # >= 20 whose degree falls step by step until it peels or stays.
+        hub_peeled = hub_kept = 0
+        for i in range(300):
+            n = rng.randrange(1, 45)
+            p = rng.choice([0.0, 0.02, 0.05, 0.1, 0.2])
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            hub = i % 2 and n > 21
+            if hub:
+                edges += [(0, v) for v in rng.sample(range(1, n), rng.randrange(20, n))]
+            g = build_graph(edges, n)
+            residual, log = peel_low_degree(g)
+            kept, entries = reference_peel(g)
+            assert residual == induced_subgraph(g, kept)
+            assert list(log.entries) == entries
+            if hub:
+                hub_peeled += 0 not in kept
+                hub_kept += 0 in kept
+        assert hub_peeled >= 20 and hub_kept >= 20
 
     def test_residual_min_degree(self, rng):
         for _ in range(20):

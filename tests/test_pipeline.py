@@ -70,7 +70,7 @@ class TestColorClassMember:
         c2 = color_class_member(g)
         assert c1.to_json() == c2.to_json()
 
-    def test_two_leaves_colored_in_parallel(self):
+    def test_two_sibling_leaves_and_serial_jobs(self):
         # Two prisms joined by a 3-edge path: the path interior peels away
         # and the residual splits into two sibling prism leaves, each colored
         # on its own.  The pipeline is serial: any jobs value but 1 is refused.
@@ -112,17 +112,6 @@ class TestColorClassMember:
         with pytest.raises(PipelineError):
             color_class_member(petersen_graph())
 
-    def test_verify_membership_mode_rejects_nonmember(self):
-        from common import bowtie_graph
-
-        with pytest.raises(PipelineError) as err:
-            color_class_member(bowtie_graph(), verify_membership_first=True)
-        assert err.value.payload["verdict"] == "nonmember"
-
-    def test_verify_membership_mode_accepts_member(self):
-        cert = color_class_member(prism_graph(), verify_membership_first=True)
-        assert cert.palette <= 3
-
 
 class TestClassifyBeforeCutsetSearch:
     """Direct branches and the block split leave MCS-M nothing to do."""
@@ -150,6 +139,55 @@ class TestClassifyBeforeCutsetSearch:
         assert verify_certificate(g, cert)
 
 
+def _refuse_pattern_oracles(monkeypatch):
+    """Make every public function of tricolor.patterns raise, wherever it is bound."""
+    from tricolor import patterns
+
+    public = {
+        fn: name for name, fn in vars(patterns).items()
+        if inspect.isfunction(fn) and fn.__module__ == patterns.__name__
+        and not name.startswith("_")
+    }
+
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"pattern oracle {name} ran")
+        return refuse
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name != "tricolor" and not mod_name.startswith("tricolor."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in public:
+                monkeypatch.setattr(module, attr, refusing(public[value]))
+    assert "find_diamond" in public.values()
+
+
+class TestCoreRunsNoOracle:
+    """The decomposition and coloring never call a forbidden-pattern oracle."""
+
+    def test_members_and_machinery_inputs(self, monkeypatch):
+        machinery = TestProper2CutsetMachinery
+        colorable = [
+            gen_series_parallel(9, 200),
+            line_graph(subdivide(random_cubic_graph(5, 64))),
+            k33_line_chain(5),
+            order7_with_k33_side(),
+            machinery.doubled_k33(),
+            order7_on_prism(),
+            machinery._nested_gadgets(10),
+        ]
+        failing = [machinery.impossible_side(), machinery.big_clique_cutset()]
+        _refuse_pattern_oracles(monkeypatch)
+        for g in colorable:
+            assert verify_certificate(g, color_class_member(g))
+            classify_basic(g)
+        for g in failing:
+            with pytest.raises(PipelineError):
+                color_class_member(g)
+            classify_basic(g)
+
+
 class TestProper2CutsetMachinery:
     """End-to-end coverage of the extraction loop.
 
@@ -174,18 +212,17 @@ class TestProper2CutsetMachinery:
         )
         assert cert.fallback_count == 0
 
+    @staticmethod
+    def doubled_k33():
+        # Two K33s sharing the nonadjacent pair (0, 1).
+        return build_graph([(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
+                           + [(a, b) for a in (0, 1, 6) for b in (7, 8, 9)], 10)
+
     def test_doubled_k33_exercises_fallback(self):
-        # Two K33s sharing a nonadjacent pair.  The extracted side is a K33,
-        # which none of the constructive routes covers, so the logged
-        # exhaustive fallback runs and the merge still comes out proper.
-        edges = []
-        for a in (0, 1, 2):
-            for b in (3, 4, 5):
-                edges.append((a, b))
-        for a in (0, 1, 6):
-            for b in (7, 8, 9):
-                edges.append((a, b))
-        g = build_graph(edges, 10)
+        # The extracted side is a K33, which none of the constructive routes
+        # covers, so the logged exhaustive fallback runs and the merge still
+        # comes out proper.
+        g = self.doubled_k33()
         cert = color_class_member(g)
         assert verify_certificate(g, cert)
         assert cert.fallback_count == 1
@@ -237,15 +274,20 @@ class TestProper2CutsetMachinery:
         assert len(cert.leaf_verdicts) == 11
         assert cert.fallback_count == 0
 
-    def test_impossible_side_fails_loudly(self):
-        # The minimal side here is a diamond whose nonadjacent pair is
-        # forced onto one color, so the disagreeing half cannot exist and
-        # the pipeline reports the offending side.
+    @staticmethod
+    def impossible_side():
+        # The minimal side is a diamond whose nonadjacent pair is forced
+        # onto one color.
         edges = [
             (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4), (2, 5),
             (0, 6), (3, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
         ]
-        g = build_graph(edges, 10)
+        return build_graph(edges, 10)
+
+    def test_impossible_side_fails_loudly(self):
+        # The disagreeing half cannot exist, so the pipeline reports the
+        # offending side.
+        g = self.impossible_side()
         assert g.min_degree() >= 3
         with pytest.raises(PipelineError) as err:
             color_class_member(g)
@@ -260,15 +302,19 @@ class TestProper2CutsetMachinery:
             dual_colorings_for_side(diamond_graph(), 2, 3)
         assert err.value.payload["missing"] == "diff"
 
-    def test_big_clique_cutset_reported_structurally(self):
-        # K5 sharing a K4 with another K5: the clique merge cannot align
-        # palettes of width four, and the failure surfaces as a pipeline
-        # error rather than a leaked precondition.
+    @staticmethod
+    def big_clique_cutset():
+        # K5 sharing a K4 with another K5.
         edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         edges += [(u, v) for u in range(1, 5) for v in [5] if True]
-        g = build_graph(edges, 6)
+        return build_graph(edges, 6)
+
+    def test_big_clique_cutset_reported_structurally(self):
+        # The clique merge cannot align palettes of width four, and the
+        # failure surfaces as a pipeline error rather than a leaked
+        # precondition.
         with pytest.raises(PipelineError):
-            color_class_member(g)
+            color_class_member(self.big_clique_cutset())
 
 
 class TestFuzzIntegrity:

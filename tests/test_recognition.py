@@ -1,3 +1,5 @@
+import networkx as nx
+
 import oracles
 from common import (
     complete_bipartite,
@@ -12,6 +14,8 @@ from tricolor import (
     build_graph,
     classify_basic,
     find_clique_cutset,
+    find_diamond,
+    is_connected,
     gen_series_parallel,
     is_complete_bipartite,
     is_series_parallel,
@@ -119,6 +123,70 @@ class TestRootReconstruction:
             assert root is not None
             assert root.validate(g)
             assert root.is_sparse() and root.h.max_degree() <= 3
+
+
+def _random_subcubic(rng):
+    k = rng.randrange(2, 11)
+    deg = [0] * k
+    edges = set()
+    for _ in range(rng.randrange(1, 2 * k)):
+        u, v = sorted(rng.sample(range(k), 2))
+        if deg[u] < 3 and deg[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return build_graph(sorted(edges), k)
+
+
+def _is_sparse_subcubic(h):
+    return max((d for _, d in h.degree()), default=0) <= 3 and all(
+        h.degree(u) <= 2 or h.degree(v) <= 2 for u, v in h.edges()
+    )
+
+
+class TestRootAgainstOracles:
+    def test_random_graphs_and_perturbed_line_graphs(self, rng):
+        """The rebuild against find_diamond and networkx's inverse line graph.
+
+        A diamond means no root; a root validates and its line graph is
+        isomorphic to g; and a connected diamond-free g gets a root exactly
+        when networkx finds it to be the line graph of a sparse graph of
+        maximum degree three (by Whitney's theorem that root is unique up
+        to isomorphism, apart from the triangle, whose roots are both
+        sparse and subcubic).
+        """
+        cases = [
+            random_graph(rng, rng.randrange(1, 15), rng.choice([0.15, 0.25, 0.4, 0.6]))
+            for _ in range(2000)
+        ]
+        for _ in range(400):
+            g = line_graph(_random_subcubic(rng))
+            if not 1 <= g.n <= 14:
+                continue
+            cases.append(g)
+            non_edges = [
+                (u, v) for u in g.vertices for v in g.vertices if u < v and not g.has_edge(u, v)
+            ]
+            if non_edges:
+                cases.append(build_graph(list(g.edges()) + [rng.choice(non_edges)], g.n))
+        rooted = diamonds = 0
+        for g in cases:
+            root = reconstruct_line_graph_root(g)
+            has_diamond = find_diamond(g) is not None
+            if has_diamond:
+                diamonds += 1
+                assert root is None
+            if root is not None:
+                rooted += 1
+                assert root.validate(g)
+                assert nx.is_isomorphic(oracles.to_nx(line_graph(root.h)), oracles.to_nx(g))
+            if g.n and is_connected(g) and not has_diamond:
+                try:
+                    expected = _is_sparse_subcubic(nx.inverse_line_graph(oracles.to_nx(g)))
+                except nx.NetworkXError:
+                    expected = False
+                assert (root is not None) == expected, sorted(g.edges())
+        assert rooted >= 300 and diamonds >= 500
 
 
 class TestClassifyBasic:
