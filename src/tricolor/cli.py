@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--verify-membership", action="store_true",
                    help="run the membership oracle before coloring")
-    p.add_argument("--budget", type=int, help="membership oracle size budget")
+    p.add_argument("--budget", type=int, help="membership oracle size budget (>= 0)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
@@ -288,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="exact chromatic number (small graphs)")
     p.add_argument("file")
     add_format(p)
-    p.add_argument("--budget", type=int, default=20, help="maximum vertex count")
+    p.add_argument("--budget", type=int, default=20, help="maximum vertex count (>= 0)")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("membership", help="run the forbidden-pattern oracles")
     p.add_argument("file")
     add_format(p)
-    p.add_argument("--budget", type=int, help="exact subdivision-oracle size budget")
+    p.add_argument("--budget", type=int, help="exact subdivision-oracle size budget (>= 0)")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("generate", help="emit a generated member or planted non-member")
@@ -303,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=16)
     p.add_argument("--format", choices=["col", "json"], default="col")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int,
+                   help="size budget (>= 0) of the membership oracle that checks "
+                        "--kind line; refused for other kinds")
     p.set_defaults(func=cmd_generate)
 
     return parser
@@ -320,8 +322,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         # Read under every subcommand, inside this handler: a bad value exits 2.
         env_budget = _default_budget()
+        for name, value in ((BUDGET_ENV, env_budget), ("--budget", getattr(args, "budget", 0))):
+            if value is not None and value < 0:
+                raise MalformedInputError(f"{name} must be non-negative, got {value}")
         if getattr(args, "budget", 0) is None:
             args.budget = env_budget
+        elif args.command == "generate" and args.kind != "line":
+            raise MalformedInputError(f"--budget applies to --kind line only, not {args.kind}")
         return args.func(args)
     except MalformedInputError as exc:
         logger.error("malformed input: %s", exc)

@@ -1,13 +1,15 @@
 """Color-producing machinery.
 
-Vertex side: an exact chromatic oracle (DSATUR-ordered branch and bound) and
-the merge/replay steps that recombine piece colorings across clique cutsets
-(cut vertices included), proper 2-cutsets and degree peels.
+Leaves are colored constructively: by their bipartition, or by a proper
+3-edge-coloring of a sparse max-degree-3 root graph.  The paired colorings
+of a proper-2-cutset side (one agreeing, one disagreeing on two marked
+edges) come from that edge coloring by Kempe-chain swaps, all through one
+in-place :func:`_swap`, always on the root graph, never on its line graph.
 
-Edge side: a constructive proper 3-edge-coloring for sparse max-degree-3
-graphs, and the paired colorings (one agreeing, one disagreeing on two marked
-edges) obtained from it by alternating-path color swaps.  Swaps always run on
-the root graph, never on its line graph.
+Exhaustive search has two jobs, the exact chromatic oracle and the paired
+coloring fallback, and both run the one iterative :func:`_backtrack`.  The
+merge/replay steps recombine piece colorings across clique cutsets (cut
+vertices included), proper 2-cutsets and degree peels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceededError, ContractViolationError, PipelineError
 from .graph import PEEL_DEGREE, Graph, RemovalLog, is_connected
@@ -23,6 +25,7 @@ from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
     BasicVerdict,
+    is_sparse_subcubic,
     reconstruct_line_graph_root,
 )
 
@@ -43,7 +46,7 @@ __all__ = [
 ]
 
 PALETTE = (0, 1, 2)
-FALLBACK_NODE_BUDGET = 3 ** 20
+SEARCH_STEP_BUDGET = 3 ** 20
 
 ROUTE_LINE_ROOT = "line_root"
 ROUTE_FALLBACK = "fallback"
@@ -79,10 +82,9 @@ class VertexColoring:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Map from (u, v) keys with u < v to colors 0..k-1."""
+    """Map from (u, v) keys with u < v to colors in ``PALETTE``."""
 
     colors: Dict[Tuple[int, int], int]
-    k: int = 3
 
     def __getitem__(self, edge: Tuple[int, int]) -> int:
         return self.colors[_ekey(*edge)]
@@ -90,7 +92,7 @@ class EdgeColoring:
     def is_proper(self, h: Graph) -> bool:
         if set(self.colors) != set(h.edges()):
             return False
-        if any(c < 0 or c >= self.k for c in self.colors.values()):
+        if any(c not in PALETTE for c in self.colors.values()):
             return False
         for v in h.vertices:
             at_v = [self.colors[_ekey(v, u)] for u in h.neighbors(v)]
@@ -136,46 +138,58 @@ def _greedy_clique(g: Graph) -> List[int]:
     return best
 
 
-def _k_colorable(g: Graph, k: int) -> Optional[Dict[int, int]]:
-    """Backtracking k-coloring with DSATUR branching and palette symmetry cut."""
-    n = g.n
-    colors: Dict[int, int] = {}
+def _backtrack(g: Graph, k: int, colors: Dict[int, int],
+               pick: Callable[[Dict[int, int]], int]) -> Optional[Dict[int, int]]:
+    """Extend the precolored ``colors`` to a proper k-coloring of g, or None.
 
-    def pick() -> int:
-        best_v, best_key = -1, (-1, -1, 0)
-        for v in g.vertices:
-            if v in colors:
-                continue
-            sat = len({colors[u] for u in g.neighbors(v) if u in colors})
-            key = (sat, g.degree(v), -v)
-            if key > best_key:
-                best_key, best_v = key, v
-        return best_v
-
-    # Iterative: the search goes one level per vertex.  Each frame holds a
-    # colored vertex and the colors not yet tried for it.
-    frames: List[Tuple[int, List[int]]] = []
-    while len(colors) < n:
-        v = pick()
-        used_nb = {colors[u] for u in g.neighbors(v) if u in colors}
-        limit = min(k, max(colors.values(), default=-1) + 2)
-        frames.append((v, [c for c in range(limit) if c not in used_nb]))
+    ``pick(colors)`` names the next vertex to color.  Its colors are tried
+    in ascending order, at most one beyond the largest in use: a larger one
+    would rerun, with two unused colors renamed, the branch of its lower
+    twin, which has already failed, so the cut never changes the first
+    coloring found.  Iterative, one frame per colored vertex.  Past
+    ``SEARCH_STEP_BUDGET`` steps it raises ``BudgetExceededError``.
+    """
+    colors = dict(colors)
+    top = max(colors.values(), default=-1)
+    # Each frame: a vertex, its untried colors, the largest color in use before it.
+    frames: List[Tuple[int, List[int], int]] = []
+    for _ in range(SEARCH_STEP_BUDGET):
+        if len(colors) == g.n:
+            return colors
+        v = pick(colors)
+        used = {colors[u] for u in g.neighbors(v) if u in colors}
+        frames.append((v, [c for c in range(min(k, top + 2)) if c not in used], top))
         while not frames[-1][1]:
             frames.pop()
             if not frames:
                 return None
             del colors[frames[-1][0]]
-        v, options = frames[-1]
+        v, options, top = frames[-1]
         colors[v] = options.pop(0)
-    return dict(colors)
+        top = max(top, colors[v])
+    raise BudgetExceededError(f"backtracking search exceeded {SEARCH_STEP_BUDGET} steps")
 
 
-def chi_exact(g: Graph, kmax: Optional[int] = None, budget: int = 20) -> Tuple[int, VertexColoring]:
+def _dsatur(g: Graph, colors: Dict[int, int]) -> int:
+    """The uncolored vertex with the most neighbour colors, then degree, then lowest id."""
+    best_v, best_key = -1, (-1, -1, 0)
+    for v in g.vertices:
+        if v in colors:
+            continue
+        sat = len({colors[u] for u in g.neighbors(v) if u in colors})
+        key = (sat, g.degree(v), -v)
+        if key > best_key:
+            best_key, best_v = key, v
+    return best_v
+
+
+def chi_exact(g: Graph, budget: int = 20) -> Tuple[int, VertexColoring]:
     """Exact chromatic number with a validating witness.
 
-    Branch and bound: a greedy clique gives the lower bound, then
-    k-colorability is decided for increasing k by DSATUR-ordered
-    backtracking.  Refuses graphs larger than the budget.
+    A greedy clique gives the lower bound, then k-colorability is decided
+    for increasing k by :func:`_backtrack` with DSATUR branching.  Refuses
+    graphs with more than ``budget`` vertices, and a search past
+    ``SEARCH_STEP_BUDGET`` steps.
     """
     if g.n > budget:
         raise BudgetExceededError(f"chi_exact budget is n <= {budget}, got n = {g.n}")
@@ -183,27 +197,15 @@ def chi_exact(g: Graph, kmax: Optional[int] = None, budget: int = 20) -> Tuple[i
         return 0, VertexColoring({}, 0)
     if g.m == 0:
         return 1, VertexColoring({v: 0 for v in g.vertices}, 1)
-    lb = max(2, len(_greedy_clique(g)))
-    cap = g.n if kmax is None else min(kmax, g.n)
-    for k in range(lb, cap + 1):
-        witness = _k_colorable(g, k)
-        if witness is not None:
-            return k, VertexColoring(witness, k)
-    raise BudgetExceededError(f"no coloring with at most {cap} colors")
+    k = max(2, len(_greedy_clique(g)))
+    # Every graph is n-colorable, so the loop ends by k = n.
+    while (witness := _backtrack(g, k, {}, lambda colors: _dsatur(g, colors))) is None:
+        k += 1
+    return k, VertexColoring(witness, k)
 
 
 # ---------------------------------------------------------------------------
 # Edge coloring of sparse max-degree-3 graphs
-
-
-def _check_sparse_deg3(h: Graph) -> None:
-    if h.max_degree() > 3:
-        raise ContractViolationError("edge coloring requires maximum degree <= 3")
-    for u, v in h.edges():
-        if h.degree(u) > 2 and h.degree(v) > 2:
-            raise ContractViolationError(
-                f"edge ({u},{v}) has two endpoints of degree 3: graph is not sparse"
-            )
 
 
 def edge_color_sparse(h: Graph) -> EdgeColoring:
@@ -213,15 +215,17 @@ def edge_color_sparse(h: Graph) -> EdgeColoring:
     nonadjacent, so the edges at hubs form a bipartite graph of maximum
     degree 3, colored first in Koenig's way: give (u, w) a color free at
     both ends, or else, with alpha free at the hub u and beta free at w,
-    swap alpha and beta on the two-colored component through w's alpha-edge
-    and give (u, w) alpha.  That component is a path starting at w (w has
-    degree <= 2 and lacks beta).  Every colored edge has exactly one hub
-    end, so the path enters each hub on it by an alpha-edge and never
-    reaches u, which has none.  Every remaining edge joins two
+    :func:`_swap` alpha and beta on the two-colored component through w's
+    alpha-edge and give (u, w) alpha.  That component is a path starting at
+    w (w has degree <= 2 and lacks beta).  Every colored edge has exactly
+    one hub end, so the path enters each hub on it by an alpha-edge and
+    never reaches u, which has none.  Every remaining edge joins two
     vertices of degree <= 2, so at most two colored edges touch it and a
-    color is always free.  Always succeeds on this class.
+    color is always free.  Always succeeds on this class; any other graph
+    fails :func:`~tricolor.recognition.is_sparse_subcubic` and is refused.
     """
-    _check_sparse_deg3(h)
+    if not is_sparse_subcubic(h):
+        raise ContractViolationError("edge coloring requires a sparse subcubic graph")
     colors: Dict[Tuple[int, int], int] = {}
 
     def free(v: int) -> List[int]:
@@ -238,14 +242,13 @@ def edge_color_sparse(h: Graph) -> EdgeColoring:
                 alpha, beta = free_u[0], free_w[0]
                 start = next(_ekey(w, x) for x in h.neighbors(w)
                              if colors.get(_ekey(w, x)) == alpha)
-                for e in _color_component(h, colors, start, (alpha, beta)):
-                    colors[e] = beta if colors[e] == alpha else alpha
+                _swap(colors, _color_component(h, colors, start, (alpha, beta)), (alpha, beta))
                 common = [alpha]
             colors[_ekey(u, w)] = common[0]
     for u, w in h.edges():
         if (u, w) not in colors:
             colors[(u, w)] = min(set(free(u)) & set(free(w)))
-    coloring = EdgeColoring(colors, 3)
+    coloring = EdgeColoring(colors)
     if not coloring.is_proper(h):
         raise ContractViolationError("edge coloring postcondition failed")
     return coloring
@@ -273,41 +276,33 @@ def _color_component(h: Graph, colors: Dict[Tuple[int, int], int],
 
 
 def _swap(colors: Dict[Tuple[int, int], int], comp: Iterable[Tuple[int, int]],
-          pair: Tuple[int, int]) -> Dict[Tuple[int, int], int]:
+          pair: Tuple[int, int]) -> None:
+    """Exchange the two colors of ``pair`` on ``comp``, in place; comp has no other color."""
     a, b = pair
-    out = dict(colors)
     for e in comp:
-        if out[e] == a:
-            out[e] = b
-        elif out[e] == b:
-            out[e] = a
-    return out
+        colors[e] = b if colors[e] == a else a
 
 
 def _doubled_chain(h: Graph, e1: Tuple[int, int], e2: Tuple[int, int]) -> Tuple[int, int]:
-    """Validate the doubled-edge shape and return the middle edge (y, z).
+    """Validate the doubled-chain shape and return the middle edge (y, z).
 
-    Required shape: degrees in {2, 3}, no edge joining two degree-3 vertices,
-    exactly one edge joining two degree-2 vertices, and e1, e2 are the two
-    disjoint edges flanking it.
+    Required shape: connected, sparse, degrees in {2, 3}, exactly one edge
+    joining two degree-2 vertices, and e1, e2 are the two disjoint edges
+    flanking it.
     """
-    if not is_connected(h):
-        raise ContractViolationError("doubled-chain coloring requires a connected graph")
-    degs = {v: h.degree(v) for v in h.vertices}
-    if any(d not in (2, 3) for d in degs.values()):
-        raise ContractViolationError("degrees other than 2 and 3 present")
-    mids = [(u, v) for u, v in h.edges() if degs[u] == 2 and degs[v] == 2]
+    if not is_connected(h) or not is_sparse_subcubic(h) or h.min_degree() < 2:
+        raise ContractViolationError(
+            "doubled-chain coloring requires a connected sparse graph with degrees 2 and 3"
+        )
+    mids = [(u, v) for u, v in h.edges() if h.degree(u) == 2 and h.degree(v) == 2]
     if len(mids) != 1:
         raise ContractViolationError(
             f"expected exactly one degree-2/degree-2 edge, found {len(mids)}"
         )
-    if any(degs[u] == 3 and degs[v] == 3 for u, v in h.edges()):
-        raise ContractViolationError("graph is not sparse")
     y, z = mids[0]
-    e1, e2 = _ekey(*e1), _ekey(*e2)
     flank_y = _ekey(y, next(u for u in h.neighbors(y) if u != z))
     flank_z = _ekey(z, next(u for u in h.neighbors(z) if u != y))
-    if {e1, e2} != {flank_y, flank_z}:
+    if {_ekey(*e1), _ekey(*e2)} != {flank_y, flank_z}:
         raise ContractViolationError("marked edges do not flank the doubled chain")
     if set(e1) & set(e2):
         raise ContractViolationError("marked edges must be disjoint")
@@ -326,31 +321,30 @@ def dual_edge_colorings(h: Graph, e1: Tuple[int, int], e2: Tuple[int, int]
     paths here, which forces the relevant component to miss the far edge.
     """
     e1, e2 = _ekey(*e1), _ekey(*e2)
-    mid = _ekey(*_doubled_chain(h, e1, e2))
-    base = edge_color_sparse(h)
-    phi = dict(base.colors)
+    mid = _doubled_chain(h, e1, e2)
+    phi = edge_color_sparse(h).colors
     c_e1, c_e2, c_mid = phi[e1], phi[e2], phi[mid]
-    third = next(c for c in PALETTE if c not in (c_e1, c_mid))
+    # One half is phi itself; the other is a copy changed by swaps.
+    changed = dict(phi)
     if c_e1 == c_e2:
-        comp = _color_component(h, phi, e1, (c_e1, third))
-        flipped = _swap(phi, comp, (c_e1, third))
-        same, diff = phi, flipped
+        third = next(c for c in PALETTE if c not in (c_e1, c_mid))
+        _swap(changed, _color_component(h, phi, e1, (c_e1, third)), (c_e1, third))
+        same, diff = phi, changed
     else:
         comp = _color_component(h, phi, e1, (c_e1, c_e2))
         if e2 not in comp:
-            same = _swap(phi, comp, (c_e1, c_e2))
-            diff = phi
+            _swap(changed, comp, (c_e1, c_e2))
         else:
             # Shift e1 out of the way, then pull e2 onto its color: first swap
             # the (c_e1, c_mid) component through e1, then the (c_mid, c_e2)
             # component through e2; parity keeps the two swaps disjoint.
-            step = _swap(phi, _color_component(h, phi, e1, (c_e1, c_mid)), (c_e1, c_mid))
-            comp2 = _color_component(h, step, e2, (c_mid, c_e2))
+            _swap(changed, _color_component(h, phi, e1, (c_e1, c_mid)), (c_e1, c_mid))
+            comp2 = _color_component(h, changed, e2, (c_mid, c_e2))
             if e1 in comp2:
                 raise ContractViolationError("alternating-path swap invariant failed")
-            same = _swap(step, comp2, (c_mid, c_e2))
-            diff = phi
-    c_same, c_diff = EdgeColoring(same, 3), EdgeColoring(diff, 3)
+            _swap(changed, comp2, (c_mid, c_e2))
+        same, diff = changed, phi
+    c_same, c_diff = EdgeColoring(same), EdgeColoring(diff)
     if not (c_same.is_proper(h) and c_diff.is_proper(h)):
         raise ContractViolationError("swap produced an improper coloring")
     if c_same[e1] != c_same[e2] or c_diff[e1] == c_diff[e2]:
@@ -389,25 +383,23 @@ def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColoring
     a doubled-chain root exactly when the decomposition theory says it must:
     u maps to the middle edge of the doubled chain and a, b map to its two
     flanking edges, so the paired edge colorings pull back to the wanted
-    vertex colorings with u dropped.
+    vertex colorings with u dropped.  The helper's cliques are the plain
+    edges {u, a} and {u, b}, so its root edge joins two vertices of degree
+    2 and is the one middle edge :func:`_doubled_chain` admits.
     """
     adj = {v: set(tx.neighbors(v)) for v in tx.vertices}
     adj[u] = {a, b}
     adj[a].add(u)
     adj[b].add(u)
-    gp = Graph.from_adjacency(adj)
-    root = reconstruct_line_graph_root(gp)
+    root = reconstruct_line_graph_root(Graph.from_adjacency(adj))
     if root is None:
         return None
     h, vmap = root.h, root.vertex_to_edge
-    e_mid, e1, e2 = vmap[u], vmap[a], vmap[b]
     try:
-        mid = _doubled_chain(h, e1, e2)
+        _doubled_chain(h, vmap[a], vmap[b])
     except ContractViolationError:
         return None
-    if _ekey(*mid) != _ekey(*e_mid):
-        return None
-    c_same, c_diff = dual_edge_colorings(h, e1, e2)
+    c_same, c_diff = dual_edge_colorings(h, vmap[a], vmap[b])
     same = {v: c_same[vmap[v]] for v in tx.vertices}
     diff = {v: c_diff[vmap[v]] for v in tx.vertices}
     return DualColorings(
@@ -416,48 +408,20 @@ def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColoring
 
 
 def _constrained_search(tx: Graph, a: int, b: int, same: bool) -> Optional[Dict[int, int]]:
-    """Backtracking 3-coloring with the pair pinned equal or unequal.
+    """A 3-coloring of tx with a, b colored alike (``same``) or not, or None.
 
-    Iterative: the search goes one level per vertex of the side, which can
-    exceed the interpreter's recursion limit.
+    :func:`_backtrack` with the pair precolored, coloring the other vertices
+    in breadth-first order from the pair.
     """
     order = [a, b]
     seen = {a, b}
-    queue = [a, b]
-    while queue:
-        v = queue.pop(0)
+    for v in order:
         for nb in tx.neighbors(v):
             if nb not in seen:
                 seen.add(nb)
                 order.append(nb)
-                queue.append(nb)
-    for v in tx.vertices:
-        if v not in seen:
-            order.append(v)
-            seen.add(v)
-    colors: Dict[int, int] = {a: 0, b: 0 if same else 1}
-    if tx.has_edge(a, b):
-        raise ContractViolationError("pair must be nonadjacent")
-    rest = order[2:]
-    # options[i] holds the untried colors of rest[i]; rest[:len(options)]
-    # are colored, each with the color last taken from its list.
-    options: List[List[int]] = []
-    steps = 0
-    while True:
-        steps += 1
-        if steps > FALLBACK_NODE_BUDGET:
-            raise BudgetExceededError("fallback search budget exhausted")
-        if len(options) == len(rest):
-            return colors
-        v = rest[len(options)]
-        used = {colors[u] for u in tx.neighbors(v) if u in colors}
-        options.append([c for c in PALETTE if c not in used])
-        while not options[-1]:
-            options.pop()
-            colors.pop(rest[len(options)], None)
-            if not options:
-                return None
-        colors[rest[len(options) - 1]] = options[-1].pop(0)
+    order += [v for v in tx.vertices if v not in seen]
+    return _backtrack(tx, 3, {a: 0, b: 0 if same else 1}, lambda colors: order[len(colors)])
 
 
 def dual_colorings_for_side(tx: Graph, a: int, b: int) -> DualColorings:
@@ -466,10 +430,12 @@ def dual_colorings_for_side(tx: Graph, a: int, b: int) -> DualColorings:
     Constructive route: the side plus a helper vertex is the line graph of
     a doubled-chain root, which covers the 6-vertex prism minus a matching
     edge (its completion is the line graph of a theta with paths of lengths
-    2, 2 and 3).  Otherwise an exhaustive constrained search runs as a
-    logged fallback; its failure means the input was not a class member (or
-    exposes a bug), and is reported with the offending side serialized.  Past
-    ``FALLBACK_NODE_BUDGET`` steps the search raises ``BudgetExceededError``.
+    2, 2 and 3); Kempe-chain swaps on the root's edge coloring give both
+    halves.  Otherwise :func:`_backtrack` runs twice, with the pair pinned
+    alike and apart, as a logged fallback; its failure means the input was
+    not a class member (or exposes a bug), and is reported with the
+    offending side serialized.  Past ``SEARCH_STEP_BUDGET`` steps the search
+    raises ``BudgetExceededError``.
     """
     if tx.has_edge(a, b):
         raise ContractViolationError("cutset pair must be nonadjacent")

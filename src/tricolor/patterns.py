@@ -270,8 +270,7 @@ def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET, seed: int = 0):
     return PatternWitness("isk4", found, corners, paths)
 
 
-def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET,
-                      seed: int = 0) -> MembershipReport:
+def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> MembershipReport:
     """Run all three forbidden-pattern oracles and combine the verdicts.
 
     ``member`` requires every pattern to be excluded in exact mode, which for
@@ -284,7 +283,7 @@ def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET,
     if w is not None:
         return MembershipReport(VERDICT_NONMEMBER, w, mode="exact", budget=budget)
     exact = g.n <= budget
-    result = find_isk4(g, budget=budget, seed=seed)
+    result = find_isk4(g, budget=budget)
     if isinstance(result, PatternWitness):
         return MembershipReport(
             VERDICT_NONMEMBER, result, mode="exact" if exact else "bounded", budget=budget

@@ -222,18 +222,28 @@ class ColoringCertificate:
             raise ValueError("certificate must be a JSON object")
         if data.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {data.get('format')!r}")
-        if not isinstance(data["coloring"], dict):
+        raw = data["coloring"]
+        if not isinstance(raw, dict):
             raise ValueError("certificate coloring must be a JSON object")
-        coloring = VertexColoring({int(v): int(c) for v, c in data["coloring"].items()}, 3)
+        colors = {int(v): _json_int(c, "color") for v, c in raw.items()}
+        if len(colors) != len(raw):
+            raise ValueError("certificate coloring names a vertex twice")
         return cls(
             graph_hash=data["graph_hash"],
-            n=int(data["n"]),
-            m=int(data["m"]),
-            coloring=coloring,
-            palette=int(data["palette"]),
+            n=_json_int(data["n"], "n"),
+            m=_json_int(data["m"], "m"),
+            coloring=VertexColoring(colors, 3),
+            palette=_json_int(data["palette"], "palette"),
             leaf_verdicts=tuple(data["leaves"]),
-            fallback_count=int(data["fallback_count"]),
+            fallback_count=_json_int(data["fallback_count"], "fallback_count"),
         )
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer (not a bool or float), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"certificate {field} must be an integer, got {value!r}")
+    return value
 
 
 def _serialize_graph(g: Graph) -> Dict:

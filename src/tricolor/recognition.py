@@ -27,6 +27,7 @@ __all__ = [
     "RootGraph",
     "is_complete_bipartite",
     "is_series_parallel",
+    "is_sparse_subcubic",
     "reconstruct_line_graph_root",
     "classify_basic",
     "classify_direct",
@@ -43,6 +44,11 @@ BRANCH_LINE_OF_SPARSE = "line_of_sparse"
 BRANCH_PROPER_2_CUTSET = "proper_2_cutset"
 BRANCH_SERIES_PARALLEL = "series_parallel"
 BRANCH_UNCLASSIFIED = "unclassified"
+
+
+def is_sparse_subcubic(h: Graph) -> bool:
+    """Maximum degree <= 3, and every edge has an endpoint of degree <= 2."""
+    return h.max_degree() <= 3 and all(h.degree(u) <= 2 or h.degree(v) <= 2 for u, v in h.edges())
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,8 @@ class RootGraph:
         return shared_pairs == g.m
 
     def is_sparse(self) -> bool:
-        """Every edge of h has at most one endpoint of degree above two."""
-        return all(
-            self.h.degree(u) <= 2 or self.h.degree(v) <= 2 for u, v in self.h.edges()
-        )
+        """:func:`is_sparse_subcubic` of h."""
+        return is_sparse_subcubic(self.h)
 
     def to_json(self) -> Dict:
         return {

@@ -10,6 +10,7 @@ from common import (
     cycle_graph,
     k33_line_chain,
     order7_with_k33_side,
+    path_graph,
     prism_graph,
 )
 from tricolor import PatternWitness
@@ -259,6 +260,19 @@ class TestCommands:
         for doc in bad_docs:
             cert_file.write_text(json.dumps(doc))
             assert main(["verify", gfile, str(cert_file)]) == EXIT_MALFORMED, doc
+        # On the path 0-1-2 each of these read as a valid certificate when
+        # floats and bools were coerced and a later duplicate key won.
+        pfile = write_graph_file(tmp_path, path_graph(3), "path.col")
+        assert main(["color", pfile]) == EXIT_OK
+        path_cert = dict(json.loads(capsys.readouterr().out), palette=2,
+                         coloring={"0": 0, "1": 1, "2": 0})
+        for doc in (path_cert, dict(path_cert, palette=2.7), dict(path_cert, n=3.9),
+                    dict(path_cert, m=2.0), dict(path_cert, fallback_count=0.5),
+                    dict(path_cert, coloring={"0": 0, "1": True, "2": 0}),
+                    dict(path_cert, coloring={"0": 0, "1": 1, "2": 1, " 2": 0})):
+            cert_file.write_text(json.dumps(doc))
+            expected = EXIT_OK if doc is path_cert else EXIT_MALFORMED
+            assert main(["verify", pfile, str(cert_file)]) == expected, doc
 
     def test_budget_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TRICOLOR_BUDGET", "12")
@@ -275,6 +289,32 @@ class TestCommands:
             assert main(argv) == EXIT_MALFORMED, argv
         assert capsys.readouterr().out == ""
         assert "TRICOLOR_BUDGET must be an integer" in caplog.text
+
+    def test_generate_budget_only_for_line(self, capsys, monkeypatch, caplog):
+        for kind in ("sp", "glue", "diamond", "bowtie", "isk4"):
+            argv = ["generate", "--kind", kind, "--seed", "2", "--size", "12"]
+            assert main(argv + ["--budget", "5"]) == EXIT_MALFORMED, kind
+            assert capsys.readouterr().out == ""
+            monkeypatch.setenv("TRICOLOR_BUDGET", "5")
+            assert main(argv) == EXIT_OK, kind
+            assert capsys.readouterr().out.startswith("p edge")
+            monkeypatch.delenv("TRICOLOR_BUDGET")
+        assert "malformed input: --budget applies to --kind line only" in caplog.text
+        assert main(["generate", "--kind", "line", "--size", "12", "--budget", "5"]) == EXIT_OK
+
+    def test_negative_budget_exits_malformed(self, tmp_path, capsys, monkeypatch, caplog):
+        gfile = write_graph_file(tmp_path, cycle_graph(5))
+        for argv in (["chi", gfile], ["membership", gfile], ["color", gfile],
+                     ["generate", "--kind", "line"]):
+            assert main(argv + ["--budget", "-1"]) == EXIT_MALFORMED, argv
+            assert main(argv + ["--budget", "-3"]) == EXIT_MALFORMED, argv
+        monkeypatch.setenv("TRICOLOR_BUDGET", "-2")
+        for argv in (["recognize", gfile], ["color", gfile], ["membership", gfile],
+                     ["chi", gfile], ["generate", "--kind", "sp"]):
+            assert main(argv) == EXIT_MALFORMED, argv
+        assert capsys.readouterr().out == ""
+        assert "--budget must be non-negative, got -3" in caplog.text
+        assert "TRICOLOR_BUDGET must be non-negative, got -2" in caplog.text
 
 
 class TestExitCodeFuzz:

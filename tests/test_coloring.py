@@ -74,10 +74,6 @@ class TestChiExact:
         with pytest.raises(BudgetExceededError):
             chi_exact(cycle_graph(25))
 
-    def test_kmax_cap(self):
-        with pytest.raises(BudgetExceededError):
-            chi_exact(complete_graph(5), kmax=3)
-
     def test_matches_bruteforce(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.3, 0.5, 0.7]))
@@ -338,7 +334,8 @@ class TestDualColoringsForSide:
 
     def test_fallback_search_matches_exact_oracle(self, rng):
         # Pinning a = b is coloring g with b merged into a; pinning a != b is
-        # coloring g plus the edge ab.  chi_exact decides both independently.
+        # coloring g plus the edge ab.  The brute-force oracle decides both
+        # without the backtracking search the fallback shares with chi_exact.
         from tricolor.coloring import _constrained_search
 
         for _ in range(150):
@@ -354,7 +351,7 @@ class TestDualColoringsForSide:
             joined = build_graph(list(g.edges()) + [(a, b)], n)
             for same, pinned in ((True, merged), (False, joined)):
                 found = _constrained_search(g, a, b, same)
-                assert (found is not None) == (chi_exact(pinned)[0] <= 3)
+                assert (found is not None) == (oracles.brute_chromatic(pinned) <= 3)
                 if found is not None:
                     assert all(found[u] != found[v] for u, v in g.edges())
                     assert (found[a] == found[b]) == same
@@ -385,10 +382,8 @@ class TestMergeAtClique:
                 continue
             piece1 = induced_subgraph(base, {0, 1, 2, 3})
             piece2 = induced_subgraph(base, {0, 1, 4, 5})
-            try:
-                col1 = chi_exact(piece1, kmax=3)[1]
-                col2 = chi_exact(piece2, kmax=3)[1]
-            except BudgetExceededError:
+            (chi1, col1), (chi2, col2) = chi_exact(piece1), chi_exact(piece2)
+            if max(chi1, chi2) > 3:
                 continue
             merged = merge_at_clique(base, [col1, col2])
             for piece, col in ((piece1, col1), (piece2, col2)):
@@ -522,9 +517,8 @@ class TestAddBackPeeled:
             residual, log = peel_low_degree(g)
             if residual.n > 10:
                 continue
-            try:
-                chi, witness = chi_exact(residual, kmax=3)
-            except BudgetExceededError:
+            chi, witness = chi_exact(residual)
+            if chi > 3:
                 continue  # residual needs more than three colors
             full = add_back_peeled(witness, log)
             assert full.is_proper(g)
