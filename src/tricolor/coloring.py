@@ -321,7 +321,12 @@ def dual_edge_colorings(h: Graph, e1: Tuple[int, int], e2: Tuple[int, int]
     paths here, which forces the relevant component to miss the far edge.
     """
     e1, e2 = _ekey(*e1), _ekey(*e2)
-    mid = _doubled_chain(h, e1, e2)
+    return _dual_edge_colorings_at(h, e1, e2, _doubled_chain(h, e1, e2))
+
+
+def _dual_edge_colorings_at(h: Graph, e1: Tuple[int, int], e2: Tuple[int, int],
+                            mid: Tuple[int, int]) -> Tuple[EdgeColoring, EdgeColoring]:
+    """:func:`dual_edge_colorings` on a checked doubled chain with middle edge mid."""
     phi = edge_color_sparse(h).colors
     c_e1, c_e2, c_mid = phi[e1], phi[e2], phi[mid]
     # One half is phi itself; the other is a copy changed by swaps.
@@ -395,11 +400,13 @@ def _line_root_duals(tx: Graph, a: int, b: int, u: int) -> Optional[DualColoring
     if root is None:
         return None
     h, vmap = root.h, root.vertex_to_edge
+    e1, e2 = _ekey(*vmap[a]), _ekey(*vmap[b])
     try:
-        _doubled_chain(h, vmap[a], vmap[b])
+        mid = _doubled_chain(h, e1, e2)
     except ContractViolationError:
         return None
-    c_same, c_diff = dual_edge_colorings(h, vmap[a], vmap[b])
+    # Past the shape check, a violation is a failure and not a route miss.
+    c_same, c_diff = _dual_edge_colorings_at(h, e1, e2, mid)
     same = {v: c_same[vmap[v]] for v in tx.vertices}
     diff = {v: c_diff[vmap[v]] for v in tx.vertices}
     return DualColorings(

@@ -8,6 +8,12 @@ it is a clique minimal separator.  A graph with a clique cutset always
 exposes one this way, because a clique minimal separator is parallel to
 every other minimal separator and therefore survives into every minimal
 triangulation.
+
+The proper-2-cutset search runs one depth-first search of g - a per vertex
+a.  Its low points and subtree totals list the components of g - {a, b} for
+every later b, with sizes, in O(1) each, so the whole search is
+O(n (n + m)).  A component forms a bare a-b path with the pair exactly when
+all its vertices have degree 2 and one of them is adjacent to a.
 """
 
 from __future__ import annotations
@@ -211,61 +217,142 @@ def _side_is_ab_path(g: Graph, side: Set[int], a: int, b: int) -> bool:
 
 
 def _best_partition(
-    g: Graph, a: int, b: int, comps: List[Tuple[int, ...]]
-) -> Optional[Tuple[int, List[Tuple[int, ...]], List[Tuple[int, ...]]]]:
-    """Smallest valid small side for the pair (a, b), or None.
+    sizes: Sequence[int], bad: Sequence[bool]
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Smallest valid small side over components of the given sizes, or None.
 
-    A side is invalid only when it is empty or one component forming a bare
-    a-b path with the pair.  A valid side of three or more components stays
-    valid, and shrinks, when its largest component moves to the other side.
-    So some minimum side is one component or two, and a minimum pair lies
-    among the three smallest.  Candidates are keyed by (size, component indices).
+    Components come in the order of their smallest vertex; ``bad`` marks the
+    ones forming a bare a-b path with the pair.  A side is invalid only when
+    it is empty or one bad component.  A valid side of three or more
+    components stays valid, and shrinks, when its largest component moves to
+    the other side.  So some minimum side is one component or two, and a
+    minimum pair lies among the three smallest.  Returns the side's size and
+    component indices, the least (size, indices) among the candidates.
     """
-    c = len(comps)
-    bad = [_side_is_ab_path(g, set(comp), a, b) for comp in comps]
+    c = len(sizes)
     n_bad = sum(bad)
 
     def side_ok(count: int, count_bad: int) -> bool:
         return count >= 2 or (count == 1 and count_bad == 0)
 
-    smallest = sorted(sorted(range(c), key=lambda i: len(comps[i]))[:3])
+    smallest = sorted(sorted(range(c), key=sizes.__getitem__)[:3])
     valid = [
-        (sum(len(comps[i]) for i in xs), xs)
+        (sum(sizes[i] for i in xs), xs)
         for xs in [(i,) for i in range(c)] + list(combinations(smallest, 2))
         if side_ok(len(xs), sum(bad[i] for i in xs))
         and side_ok(c - len(xs), n_bad - sum(bad[i] for i in xs))
     ]
-    if not valid:
-        return None
-    size, xs = min(valid)
-    return size, [comps[i] for i in xs], [comps[i] for i in range(c) if i not in xs]
+    return min(valid) if valid else None
 
 
 def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
-    """Scan nonadjacent pairs for a proper 2-cutset.
+    """The proper 2-cutset with the minimum small side, or None.
 
-    Returns the cutset whose small side is minimum over all proper
-    2-cutsets (ties broken lexicographically on the pair), or None.
-    Component grouping is solved exactly per pair, since only a
-    single-component side can collapse into an a-b path.
+    Ties are broken lexicographically on the pair, then on the component
+    indices of the side.  For each vertex a, one depth-first search of g - a
+    (Hopcroft and Tarjan, CACM 1973; explicit stack) gives every vertex its
+    preorder number, low point and subtree totals: size, smallest vertex,
+    degree-2 vertices and neighbors of a.  For every later vertex b not
+    adjacent to a, the components of g - {a, b} are then the other
+    components of g - a, the subtrees of b's children whose low point does
+    not reach above b (all of them when b is a root), and what is left of
+    b's component when b is not its root.  Since each component's neighbors
+    lie in it or the pair, it forms a bare a-b path exactly when all its
+    vertices have degree 2 in g and one of them touches a.  So each pair
+    costs O(1) per component, and the search O(n (n + m)) in all; vertex
+    sets are built for the winner only.
     """
+    vs = g.vertices
+    n = len(vs)
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = [[pos[u] for u in g.neighbors(v)] for v in vs]
+    deg2 = [int(len(ns) == 2) for ns in adj]
     before = len(connected_components(g))
-    best: Optional[Tuple[int, Tuple[int, int], List, List]] = None
-    for a, b in combinations(g.vertices, 2):
-        if g.has_edge(a, b):
-            continue
-        comps = connected_components(g, {a, b})
-        if len(comps) <= before:
-            continue
-        found = _best_partition(g, a, b, comps)
-        if found is None:
-            continue
-        size, x_comps, y_comps = found
-        if best is None or size < best[0]:
-            best = (size, (a, b), x_comps, y_comps)
+    best: Optional[Tuple[int, Tuple[int, int], Tuple[int, ...]]] = None
+    for a in range(n):
+        touches_a = [0] * n
+        for u in adj[a]:
+            touches_a[u] = 1
+        # Vertices are numbered in preorder; a gets n, above every number, so
+        # it is never searched and never lowers a low point.  A vertex's
+        # neighbors searched before it are its ancestors, so its own part of
+        # the low point is read when it is reached.
+        pre = [-1] * n
+        pre[a] = n
+        low = [n] * n
+        parent = [-1] * n
+        top = [-1] * n
+        order: List[int] = []
+        roots: List[int] = []
+        for r in range(n):
+            if pre[r] >= 0:
+                continue
+            roots.append(r)
+            stack = [r]
+            while stack:
+                v = stack.pop()
+                if pre[v] >= 0:
+                    continue
+                lo = pre[v] = len(order)
+                top[v] = r
+                order.append(v)
+                for u in adj[v]:
+                    if pre[u] < 0:
+                        # The last vertex to push u is the one it is reached from.
+                        parent[u] = v
+                        stack.append(u)
+                    elif pre[u] < lo:
+                        lo = pre[u]
+                low[v] = lo
+        # Descendants follow their ancestors in preorder, so one backward
+        # sweep folds every subtree into its parent.
+        size = [1] * n
+        small = list(range(n))
+        two = deg2[:]
+        near = touches_a[:]
+        cut: List[List[int]] = [[] for _ in range(n)]
+        for v in reversed(order):
+            lo = low[v]
+            p = parent[v]
+            if p < 0:
+                continue
+            if lo >= pre[p]:
+                cut[p].append(v)
+            elif lo < low[p]:
+                low[p] = lo
+            if small[v] < small[p]:
+                small[p] = small[v]
+            size[p] += size[v]
+            two[p] += two[v]
+            near[p] += near[v]
+        whole = [(r, size[r], two[r] == size[r] and near[r] == 1) for r in roots]
+        for b in range(a + 1, n):
+            kids = cut[b]
+            if touches_a[b] or len(roots) + len(kids) - (parent[b] < 0) <= before:
+                continue
+            comps = [c for c in whole if c[0] != top[b]]
+            comps += [(small[c], size[c], two[c] == size[c] and near[c] == 1) for c in kids]
+            if parent[b] >= 0:
+                # The rest of b's component holds its root, its least vertex;
+                # b itself is not adjacent to a.
+                r = top[b]
+                rest = (size[r] - 1 - sum(size[c] for c in kids),
+                        two[r] - deg2[b] - sum(two[c] for c in kids),
+                        near[r] - sum(near[c] for c in kids))
+                comps.append((r, rest[0], rest[1] == rest[0] and rest[2] == 1))
+            if best is not None and min(c[1] for c in comps) >= best[0]:
+                continue
+            if len(comps) == 2 and (comps[0][2] or comps[1][2]):
+                continue  # the one split has a bare path for a side
+            comps.sort()
+            found = _best_partition([c[1] for c in comps], [c[2] for c in comps])
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], (a, b), found[1])
     if best is None:
         return None
-    # x_comps is a minimum over every valid side, so side_x is never the larger.
-    _, pair, x_comps, y_comps = best
-    side_x, side_y = (tuple(sorted(v for c in cs for v in c)) for cs in (x_comps, y_comps))
-    return Proper2Cutset(pair, side_x, side_y)
+    # The side is a minimum over every valid side, so side_x is never the larger.
+    _, (a, b), xs = best
+    comps = connected_components(g, (vs[a], vs[b]))
+    side_x = tuple(sorted(v for i in xs for v in comps[i]))
+    side_y = tuple(sorted(v for i, c in enumerate(comps) if i not in xs for v in c))
+    return Proper2Cutset((vs[a], vs[b]), side_x, side_y)

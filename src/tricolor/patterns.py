@@ -5,7 +5,7 @@ the diamond (K4 minus an edge), the bowtie (two triangles sharing exactly one
 vertex), and any subdivision of K4.  Diamond and bowtie detection is
 polynomial.  No polynomial algorithm is known for detecting an induced K4
 subdivision, so that oracle is exact only up to a size budget and degrades to
-a seeded bounded search beyond it.
+a bounded search in a fixed shuffled order beyond it.
 """
 
 from __future__ import annotations
@@ -242,21 +242,21 @@ def _search(g: Graph, order: Sequence[int],
     return None, False
 
 
-def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET, seed: int = 0):
+def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
     """Search for an induced subdivision of K4.
 
     Exact mode (n <= budget) runs :func:`_search` over ascending roots, so
     the first root with a witness holds the lexicographically least one; it
     returns that witness or None.  Cut after ``EXACT_MAX_STEPS`` steps, it
     returns the least witness found so far, or raises without one.  Beyond
-    the budget the roots are shuffled by ``random.Random(seed)``, the search
+    the budget the roots are shuffled by ``random.Random(0)``, the search
     stops after ``BOUNDED_MAX_STEPS`` steps, and without a witness the result
     is the string ``"unknown"``.  K4 itself counts (the trivial subdivision).
     """
     exact = g.n <= budget
     order = list(g.vertices)
     if not exact:
-        random.Random(seed).shuffle(order)
+        random.Random(0).shuffle(order)
     found, cut = _search(g, order, EXACT_MAX_STEPS if exact else BOUNDED_MAX_STEPS)
     if found is None:
         if not exact:

@@ -14,6 +14,7 @@ import networkx as nx
 from tricolor import (
     ContractViolationError,
     Graph,
+    Proper2Cutset,
     RemovalLog,
     connected_components,
     induced_subgraph,
@@ -275,3 +276,82 @@ def find_clique_cutset_bruteforce(
         if len(comps) >= 2:
             return clique, comps
     return None
+
+
+def _side_is_ab_path(g: Graph, side: Set[int], a: int, b: int) -> bool:
+    """Does side + {a, b} induce a path whose two ends are a and b?
+
+    Inside side + {a, b}, a and b need exactly one neighbor and each side
+    vertex exactly two.  A path plus a disjoint cycle has the same counts, so
+    the walk from a must also reach every vertex.
+    """
+    inside = side | {a, b}
+    nbrs = {v: [u for u in g.neighbors(v) if u in inside] for v in inside}
+    if len(nbrs[a]) != 1 or len(nbrs[b]) != 1 or any(len(nbrs[v]) != 2 for v in side):
+        return False
+    prev, v, length = a, nbrs[a][0], 2
+    while v != b:
+        prev, v = v, nbrs[v][1] if nbrs[v][0] == prev else nbrs[v][0]
+        length += 1
+    return length == len(inside)
+
+
+def _best_partition(
+    g: Graph, a: int, b: int, comps: List[Tuple[int, ...]]
+) -> Optional[Tuple[int, List[Tuple[int, ...]], List[Tuple[int, ...]]]]:
+    """Smallest valid small side for the pair (a, b), or None.
+
+    A side is invalid only when it is empty or one component forming a bare
+    a-b path with the pair.  A valid side of three or more components stays
+    valid, and shrinks, when its largest component moves to the other side.
+    So some minimum side is one component or two, and a minimum pair lies
+    among the three smallest.  Candidates are keyed by (size, component indices).
+    """
+    c = len(comps)
+    bad = [_side_is_ab_path(g, set(comp), a, b) for comp in comps]
+    n_bad = sum(bad)
+
+    def side_ok(count: int, count_bad: int) -> bool:
+        return count >= 2 or (count == 1 and count_bad == 0)
+
+    smallest = sorted(sorted(range(c), key=lambda i: len(comps[i]))[:3])
+    valid = [
+        (sum(len(comps[i]) for i in xs), xs)
+        for xs in [(i,) for i in range(c)] + list(combinations(smallest, 2))
+        if side_ok(len(xs), sum(bad[i] for i in xs))
+        and side_ok(c - len(xs), n_bad - sum(bad[i] for i in xs))
+    ]
+    if not valid:
+        return None
+    size, xs = min(valid)
+    return size, [comps[i] for i in xs], [comps[i] for i in range(c) if i not in xs]
+
+
+def proper_2_cutset_pair_scan(g: Graph) -> Optional[Proper2Cutset]:
+    """The proper-2-cutset search by one component search per nonadjacent pair.
+
+    Returns the cutset whose small side is minimum over all proper
+    2-cutsets (ties broken lexicographically on the pair, then on the
+    component indices of the side), or None.  Component grouping is solved
+    exactly per pair, since only a single-component side can collapse into
+    an a-b path.
+    """
+    before = len(connected_components(g))
+    best: Optional[Tuple[int, Tuple[int, int], List, List]] = None
+    for a, b in combinations(g.vertices, 2):
+        if g.has_edge(a, b):
+            continue
+        comps = connected_components(g, {a, b})
+        if len(comps) <= before:
+            continue
+        found = _best_partition(g, a, b, comps)
+        if found is None:
+            continue
+        size, x_comps, y_comps = found
+        if best is None or size < best[0]:
+            best = (size, (a, b), x_comps, y_comps)
+    if best is None:
+        return None
+    _, pair, x_comps, y_comps = best
+    side_x, side_y = (tuple(sorted(v for c in cs for v in c)) for cs in (x_comps, y_comps))
+    return Proper2Cutset(pair, side_x, side_y)

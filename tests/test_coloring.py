@@ -309,6 +309,27 @@ class TestDualColoringsForSide:
         assert duals.validate(tx)
         assert duals.route == ROUTE_LINE_ROOT
 
+    def test_line_root_side_checks_doubled_chain_once(self, monkeypatch):
+        from tricolor import coloring
+
+        calls = []
+        checked = coloring._doubled_chain
+        monkeypatch.setattr(coloring, "_doubled_chain",
+                            lambda *args: calls.append(args) or checked(*args))
+        duals = dual_colorings_for_side(prism_minus_matching_edge(), 0, 3)
+        assert duals.route == ROUTE_LINE_ROOT
+        assert len(calls) == 1
+
+    def test_swap_invariant_failure_is_not_a_route_miss(self, monkeypatch):
+        from tricolor import coloring
+
+        def broken(*args):
+            raise ContractViolationError("alternating-path swap invariant failed")
+
+        monkeypatch.setattr(coloring, "_dual_edge_colorings_at", broken)
+        with pytest.raises(ContractViolationError, match="swap invariant"):
+            dual_colorings_for_side(prism_minus_matching_edge(), 0, 3)
+
     def test_fallback_on_path_side(self):
         tx = path_graph(3)  # helper vertex closes a 4-cycle: no doubled chain
         duals = dual_colorings_for_side(tx, 0, 2)

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 from itertools import combinations
 
@@ -14,10 +15,15 @@ from common import (
     order7_on_prism,
     path_graph,
     prism_graph,
+    prism_minus_matching_edge,
     theta_graph,
 )
 from conftest import random_graph
-from oracles import find_clique_cutset_bruteforce, replay_removals
+from oracles import (
+    find_clique_cutset_bruteforce,
+    proper_2_cutset_pair_scan,
+    replay_removals,
+)
 from tricolor import (
     ContractViolationError,
     Proper2Cutset,
@@ -27,6 +33,7 @@ from tricolor import (
     decompose,
     find_clique_cutset,
     find_proper_2_cutset,
+    gen_series_parallel,
     induced_subgraph,
     is_connected,
     line_graph,
@@ -376,3 +383,74 @@ class TestProper2Cutset:
             assert len(mine.side_x) == best
             best_pair = min(c.pair for c in ref if len(c.side_x) == best)
             assert mine.pair == best_pair
+
+    def test_matches_pair_scan_on_random_graphs(self, rng):
+        disconnected = 0
+        for _ in range(1200):
+            n = rng.randrange(0, 13)
+            g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.45, 0.6]))
+            if rng.random() < 0.3 and n:
+                # Gaps in the vertex ids.
+                g = induced_subgraph(g, rng.sample(g.vertices, rng.randrange(1, n + 1)))
+            disconnected += not is_connected(g)
+            assert find_proper_2_cutset(g) == proper_2_cutset_pair_scan(g)
+        assert disconnected >= 300
+
+    def test_matches_pair_scan_on_series_parallel_graphs(self):
+        found = 0
+        for n in range(4, 61, 4):
+            for seed in range(3):
+                g = gen_series_parallel(seed, n)
+                mine = find_proper_2_cutset(g)
+                assert mine == proper_2_cutset_pair_scan(g)
+                found += mine is not None
+        assert found >= 30
+
+    def test_matches_pair_scan_on_necklaces(self):
+        # t prisms minus a matching edge share their freed apexes as the pair.
+        rng = random.Random(11)
+        gadget = prism_minus_matching_edge()
+        for t in range(1, 6):
+            n = 2 + 4 * t
+            label = list(range(n))
+            rng.shuffle(label)
+            edges = []
+            for i in range(t):
+                ids = {0: 0, 3: 1, 1: 2 + 4 * i, 2: 3 + 4 * i, 4: 4 + 4 * i, 5: 5 + 4 * i}
+                edges += [(label[ids[u]], label[ids[v]]) for u, v in gadget.edges()]
+            g = build_graph(edges, n)
+            mine = find_proper_2_cutset(g)
+            assert mine == proper_2_cutset_pair_scan(g)
+            if t >= 2:
+                assert sorted(mine.pair) == sorted((label[0], label[1]))
+                assert len(mine.side_x) == 4
+
+    @pytest.mark.parametrize("edges, n, expected", [
+        # G - {0, 1} is the bare path 0-2-1 and the square 3-4-5-6, so the
+        # only split at {0, 1} has a bare path for a side.
+        ([(0, 2), (2, 1), (0, 3), (3, 4), (4, 5), (5, 6), (6, 3), (5, 1)], 7, None),
+        # The path 2-3 has both ends on 0: degree 2 throughout, yet no a-b path.
+        ([(0, 2), (2, 3), (3, 0), (0, 4), (4, 1), (1, 5), (5, 0)], 6,
+         ((0, 1), (2, 3), (4, 5))),
+        # 0 is a cut vertex of g: two squares 0-2-1-3 and 0-4-5-6.
+        ([(0, 2), (2, 1), (1, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)], 7,
+         ((0, 1), (2, 3), (4, 5, 6))),
+        # Isolated vertices 4 and 5 beside the square 0-1-2-3.
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], 6, ((0, 2), (4,), (1, 3, 5))),
+    ])
+    def test_matches_pair_scan_on_hand_built_cases(self, edges, n, expected):
+        g = build_graph(edges, n)
+        mine = find_proper_2_cutset(g)
+        assert mine == proper_2_cutset_pair_scan(g)
+        assert mine == (expected and Proper2Cutset(*expected))
+        assert mine is None or mine.validate(g)
+
+    def test_long_cycle_without_deep_recursion(self):
+        g = cycle_graph(500)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            found = find_proper_2_cutset(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert found is None

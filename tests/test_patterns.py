@@ -114,13 +114,13 @@ class TestFindIsk4:
         for v in range(10, 40):
             edges.append((v - 10, v))
         g = build_graph(edges, 40)
-        result = find_isk4(g, budget=12, seed=5)
+        result = find_isk4(g, budget=12)
         assert result != "unknown" and result is not None
         assert result.validate(g)
 
     def test_bounded_mode_unknown_on_clean_graph(self):
         g = cycle_graph(30)
-        assert find_isk4(g, budget=12, seed=0) == "unknown"
+        assert find_isk4(g, budget=12) == "unknown"
 
 
 class TestPredicates:
