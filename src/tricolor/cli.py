@@ -34,7 +34,7 @@ from .generators import (
     gen_series_parallel,
     random_cubic_graph,
 )
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, json_int
 from .patterns import DEFAULT_EXACT_BUDGET, verify_membership
 from .pipeline import ColoringCertificate, color_class_member, decompose, verify_certificate
 from .recognition import BRANCH_UNCLASSIFIED, classify_basic
@@ -106,8 +106,8 @@ def write_dimacs(g: Graph) -> str:
 
 def parse_graph_json(data: Dict) -> Graph:
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        n = json_int(data["n"], "n")
+        edges = [(json_int(u, "edge end"), json_int(v, "edge end")) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad graph JSON: {exc}") from exc
     _check_vertex_count(n)

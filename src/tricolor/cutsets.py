@@ -1,19 +1,20 @@
 """Clique-cutset and proper-2-cutset machinery.
 
-Cut vertices, the one-vertex clique cutsets, come out of one iterative
-Hopcroft-Tarjan pass that lists every block at once.  The clique cutset
-search runs a minimal-triangulation pass (MCS-M) and scans the elimination
-order: any later-neighbor set that is a clique in the input and disconnects
-it is a clique minimal separator.  A graph with a clique cutset always
-exposes one this way, because a clique minimal separator is parallel to
-every other minimal separator and therefore survives into every minimal
-triangulation.
+Cut vertices and proper 2-cutsets are both read off the low points of one
+iterative depth-first search, ``_dfs`` (Hopcroft and Tarjan, CACM 1973).
+One search of g lists every block at once.  The proper-2-cutset search runs
+one search of g - a per vertex a; its low points and subtree totals list
+the components of g - {a, b} for every later b, with sizes, in O(1) each,
+so the whole search is O(n (n + m)).  A component forms a bare a-b path
+with the pair exactly when all its vertices have degree 2 and one of them
+is adjacent to a.
 
-The proper-2-cutset search runs one depth-first search of g - a per vertex
-a.  Its low points and subtree totals list the components of g - {a, b} for
-every later b, with sizes, in O(1) each, so the whole search is
-O(n (n + m)).  A component forms a bare a-b path with the pair exactly when
-all its vertices have degree 2 and one of them is adjacent to a.
+The clique cutset search runs a minimal-triangulation pass (MCS-M) and
+scans the elimination order: any later-neighbor set that is a clique in the
+input and disconnects it is a clique minimal separator.  A graph with a
+clique cutset always exposes one this way, because a clique minimal
+separator is parallel to every other minimal separator and therefore
+survives into every minimal triangulation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,47 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Blocks and cut vertices
+# Depth-first search, blocks and cut vertices
+
+
+def _dfs(adj: Sequence[Sequence[int]], skip: int = -1):
+    """Iterative depth-first search of every vertex but ``skip``.
+
+    ``adj`` lists each position's neighbors; roots are tried in ascending
+    order.  A vertex is entered from the last vertex to push it, the deepest
+    one still waiting to reach it, so the tree is a depth-first tree.
+    Returns the preorder and per vertex its preorder number, parent (-1 at
+    a root), root and own low point: the least preorder number among itself
+    and its earlier-numbered neighbors, which are its ancestors.  ``skip``
+    is numbered n, so it is never entered and never lowers a low point.
+    """
+    n = len(adj)
+    pre = [-1] * n
+    if skip >= 0:
+        pre[skip] = n
+    low = [n] * n
+    parent = [-1] * n
+    top = [-1] * n
+    order: List[int] = []
+    for r in range(n):
+        if pre[r] >= 0:
+            continue
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            if pre[v] >= 0:
+                continue
+            lo = pre[v] = len(order)
+            top[v] = r
+            order.append(v)
+            for u in adj[v]:
+                if pre[u] < 0:
+                    parent[u] = v
+                    stack.append(u)
+                elif pre[u] < lo:
+                    lo = pre[u]
+            low[v] = lo
+    return order, pre, parent, top, low
 
 
 def biconnected_blocks(g: Graph) -> List[Tuple[int, ...]]:
@@ -44,45 +85,37 @@ def biconnected_blocks(g: Graph) -> List[Tuple[int, ...]]:
     A block is a maximal connected subgraph without a cut vertex of its own:
     a bridge or a 2-connected piece.  Isolated vertices lie in no block.
     Within each component, every block after the first meets the union of
-    the blocks before it in exactly one vertex, a cut vertex of g.  One
-    depth-first search from each component's smallest vertex (Hopcroft and
-    Tarjan, CACM 1973) with explicit stacks, so no recursion grows with n.
-    A block closes when the search backs out of it; reversing that order
-    lists each block after the one holding its top vertex.
+    the blocks before it in exactly one vertex, a cut vertex of g.  A child
+    v whose low point does not reach above its parent p closes the block of
+    p and what is left of v's subtree.  Blocks are listed in reverse of the
+    order the search backs out of v: by component, then by the end of v's
+    subtree in preorder, descending, then by v's preorder number.
     """
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    blocks: List[Tuple[int, ...]] = []
-    for root in g.vertices:
-        if root in index:
+    vs = g.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    # The stack pops the last push first: push neighbors descending.
+    adj = [[pos[u] for u in reversed(g.neighbors(v))] for v in vs]
+    order, pre, parent, top, low = _dfs(adj)
+    size = [1] * len(vs)
+    left: List[int] = []  # swept vertices not yet in a block, latest on top
+    closed: List[Tuple[Tuple[int, int, int], Tuple[int, ...]]] = []
+    for v in reversed(order):
+        p = parent[v]
+        if p < 0:
             continue
-        index[root] = low[root] = len(index)
-        opened: List[int] = [root]  # visited vertices whose block is still open
-        frames = [(root, iter(g.neighbors(root)))]
-        closed: List[Tuple[int, ...]] = []
-        while frames:
-            v, nbrs = frames[-1]
-            for u in nbrs:
-                if u not in index:
-                    index[u] = low[u] = len(index)
-                    opened.append(u)
-                    frames.append((u, iter(g.neighbors(u))))
-                    break
-                low[v] = min(low[v], index[u])
-            else:
-                frames.pop()
-                if not frames:
-                    continue
-                top = frames[-1][0]
-                low[top] = min(low[top], low[v])
-                if low[v] >= index[top]:
-                    # v's subtree hangs off top: close the block above v.
-                    block = [top]
-                    while block[-1] != v:
-                        block.append(opened.pop())
-                    closed.append(tuple(sorted(block)))
-        blocks.extend(reversed(closed))
-    return blocks
+        left.append(v)
+        end = pre[v] + size[v]
+        size[p] += size[v]
+        low[p] = min(low[p], low[v])
+        if low[v] < pre[p]:
+            continue
+        # What is left of v's subtree sits on top of ``left``, in preorder.
+        block = [vs[p]]
+        while left and pre[left[-1]] < end:
+            block.append(vs[left.pop()])
+        closed.append(((top[v], -end, pre[v]), tuple(sorted(block))))
+    closed.sort()
+    return [block for _, block in closed]
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +129,20 @@ def _mcs_m(g: Graph) -> Tuple[List[int], Dict[int, Set[int]]]:
     its neighbors in the fill graph that come later in that order.  A vertex
     y joins the reachable set of the currently numbered vertex z when some
     path z..y runs entirely through unnumbered vertices of weight strictly
-    below w(y); the minimax path weight is computed Dijkstra-style.
+    below w(y); the minimax path weight is computed Dijkstra-style.  The
+    fill neighbors of y numbered before it are exactly the vertices z whose
+    numbering reached y, so each is recorded then.
     """
     vertices = list(g.vertices)
     n = len(vertices)
     weight = {v: 0 for v in vertices}
-    number: Dict[int, int] = {}
-    fill: Dict[int, Set[int]] = {v: set(g.neighbors(v)) for v in vertices}
+    madj: Dict[int, Set[int]] = {v: set() for v in vertices}
     unnumbered = set(vertices)
-    for num in range(n, 0, -1):
+    picks: List[int] = []
+    for _ in range(n):
         z = max(unnumbered, key=lambda v: (weight[v], -v))
         unnumbered.discard(z)
-        number[z] = num
+        picks.append(z)
         # dist[y]: minimal over z..y paths of the largest internal weight.
         dist: Dict[int, int] = {}
         pq: List[Tuple[int, int]] = []
@@ -124,14 +159,12 @@ def _mcs_m(g: Graph) -> Tuple[List[int], Dict[int, Set[int]]]:
                 if x in unnumbered and through < dist.get(x, n + 1):
                     dist[x] = through
                     heapq.heappush(pq, (through, x))
-        reached = [y for y, d in dist.items() if d < weight[y]]
-        for y in reached:
-            weight[y] += 1
-            fill[z].add(y)
-            fill[y].add(z)
-    order = sorted(vertices, key=lambda v: number[v])
-    madj = {v: {u for u in fill[v] if number[u] > number[v]} for v in vertices}
-    return order, madj
+        for y, d in dist.items():
+            if d < weight[y]:
+                weight[y] += 1
+                madj[y].add(z)
+    picks.reverse()
+    return picks, madj
 
 
 def _is_clique(g: Graph, vs: Sequence[int]) -> bool:
@@ -250,17 +283,17 @@ def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
 
     Ties are broken lexicographically on the pair, then on the component
     indices of the side.  For each vertex a, one depth-first search of g - a
-    (Hopcroft and Tarjan, CACM 1973; explicit stack) gives every vertex its
-    preorder number, low point and subtree totals: size, smallest vertex,
-    degree-2 vertices and neighbors of a.  For every later vertex b not
-    adjacent to a, the components of g - {a, b} are then the other
-    components of g - a, the subtrees of b's children whose low point does
-    not reach above b (all of them when b is a root), and what is left of
-    b's component when b is not its root.  Since each component's neighbors
-    lie in it or the pair, it forms a bare a-b path exactly when all its
-    vertices have degree 2 in g and one of them touches a.  So each pair
-    costs O(1) per component, and the search O(n (n + m)) in all; vertex
-    sets are built for the winner only.
+    (``_dfs``) and one backward sweep give every vertex its preorder number,
+    low point and subtree totals: size, smallest vertex, degree-2 vertices
+    and neighbors of a.  For every later vertex b not adjacent to a, the
+    components of g - {a, b} are then the other components of g - a, the
+    subtrees of b's children whose low point does not reach above b (all of
+    them when b is a root), and what is left of b's component when b is not
+    its root.  Since each component's neighbors lie in it or the pair, it
+    forms a bare a-b path exactly when all its vertices have degree 2 in g
+    and one of them touches a.  So each pair costs O(1) per component, and
+    the search O(n (n + m)) in all; vertex sets are built for the winner
+    only.
     """
     vs = g.vertices
     n = len(vs)
@@ -273,37 +306,7 @@ def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
         touches_a = [0] * n
         for u in adj[a]:
             touches_a[u] = 1
-        # Vertices are numbered in preorder; a gets n, above every number, so
-        # it is never searched and never lowers a low point.  A vertex's
-        # neighbors searched before it are its ancestors, so its own part of
-        # the low point is read when it is reached.
-        pre = [-1] * n
-        pre[a] = n
-        low = [n] * n
-        parent = [-1] * n
-        top = [-1] * n
-        order: List[int] = []
-        roots: List[int] = []
-        for r in range(n):
-            if pre[r] >= 0:
-                continue
-            roots.append(r)
-            stack = [r]
-            while stack:
-                v = stack.pop()
-                if pre[v] >= 0:
-                    continue
-                lo = pre[v] = len(order)
-                top[v] = r
-                order.append(v)
-                for u in adj[v]:
-                    if pre[u] < 0:
-                        # The last vertex to push u is the one it is reached from.
-                        parent[u] = v
-                        stack.append(u)
-                    elif pre[u] < lo:
-                        lo = pre[u]
-                low[v] = lo
+        order, pre, parent, top, low = _dfs(adj, a)
         # Descendants follow their ancestors in preorder, so one backward
         # sweep folds every subtree into its parent.
         size = [1] * n
@@ -325,10 +328,10 @@ def find_proper_2_cutset(g: Graph) -> Optional[Proper2Cutset]:
             size[p] += size[v]
             two[p] += two[v]
             near[p] += near[v]
-        whole = [(r, size[r], two[r] == size[r] and near[r] == 1) for r in roots]
+        whole = [(r, size[r], two[r] == size[r] and near[r] == 1) for r in order if parent[r] < 0]
         for b in range(a + 1, n):
             kids = cut[b]
-            if touches_a[b] or len(roots) + len(kids) - (parent[b] < 0) <= before:
+            if touches_a[b] or len(whole) + len(kids) - (parent[b] < 0) <= before:
                 continue
             comps = [c for c in whole if c[0] != top[b]]
             comps += [(small[c], size[c], two[c] == size[c] and near[c] == 1) for c in kids]

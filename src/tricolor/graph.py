@@ -170,6 +170,13 @@ def build_graph(edge_list: Iterable[Tuple[int, int]], n: int) -> Graph:
     return Graph(final, m)
 
 
+def json_int(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool or float), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Induced subgraph on vertex set ``s``; original ids are preserved."""
     keep = set(s)

@@ -28,7 +28,14 @@ from .coloring import (
 )
 from .cutsets import biconnected_blocks, find_clique_cutset
 from .errors import ContractViolationError, PipelineError
-from .graph import Graph, RemovalLog, connected_components, induced_subgraph, peel_low_degree
+from .graph import (
+    Graph,
+    RemovalLog,
+    connected_components,
+    induced_subgraph,
+    json_int,
+    peel_low_degree,
+)
 from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
@@ -225,25 +232,18 @@ class ColoringCertificate:
         raw = data["coloring"]
         if not isinstance(raw, dict):
             raise ValueError("certificate coloring must be a JSON object")
-        colors = {int(v): _json_int(c, "color") for v, c in raw.items()}
+        colors = {int(v): json_int(c, "certificate color") for v, c in raw.items()}
         if len(colors) != len(raw):
             raise ValueError("certificate coloring names a vertex twice")
         return cls(
             graph_hash=data["graph_hash"],
-            n=_json_int(data["n"], "n"),
-            m=_json_int(data["m"], "m"),
+            n=json_int(data["n"], "certificate n"),
+            m=json_int(data["m"], "certificate m"),
             coloring=VertexColoring(colors, 3),
-            palette=_json_int(data["palette"], "palette"),
+            palette=json_int(data["palette"], "certificate palette"),
             leaf_verdicts=tuple(data["leaves"]),
-            fallback_count=_json_int(data["fallback_count"], "fallback_count"),
+            fallback_count=json_int(data["fallback_count"], "certificate fallback_count"),
         )
-
-
-def _json_int(value, field: str) -> int:
-    """``value`` if it is a JSON integer (not a bool or float), else ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"certificate {field} must be an integer, got {value!r}")
-    return value
 
 
 def _serialize_graph(g: Graph) -> Dict:

@@ -203,6 +203,28 @@ def is_bipartite(g: Graph) -> bool:
     return nx.is_bipartite(to_nx(g))
 
 
+def complete_bipartite_sides(
+    g: Graph,
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(A, B) with the first vertex in A and every A-B pair an edge, none inside.
+
+    Tries every B among the other vertices.  At most one B fits: an edgeless
+    graph needs B empty, and otherwise every vertex has a neighbor, which
+    fixes its side.
+    """
+    if not g.n:
+        return (), ()
+    first, rest = g.vertices[0], g.vertices[1:]
+    for k in range(len(rest) + 1):
+        for side_b in combinations(rest, k):
+            side_a = tuple(v for v in g.vertices if v not in side_b)
+            across = {(min(u, v), max(u, v)) for u in side_a for v in side_b}
+            if set(g.edges()) == across:
+                assert first in side_a
+                return side_a, side_b
+    return None
+
+
 def has_triangle(g: Graph) -> bool:
     return any(
         True

@@ -216,6 +216,19 @@ class TestCommands:
         assert main(["color", str(bad)]) == EXIT_MALFORMED
         assert main(["color", str(tmp_path / "missing.col")]) == EXIT_MALFORMED
 
+    def test_graph_json_accepts_only_integers(self, tmp_path, capsys, caplog):
+        # Each of these once read as the path 0-1-2 or the edge 0-1.
+        bad = tmp_path / "bad.json"
+        for doc in ({"n": 3.9, "edges": [[0, 1.7], [True, 2]]}, {"n": 3, "edges": [[0, 1.7]]},
+                    {"n": 3, "edges": [[True, 2]]}, {"n": "3", "edges": [["0", "1"]]},
+                    {"n": 3, "edges": [["0", "1"]]}):
+            bad.write_text(json.dumps(doc))
+            for command in ("decompose", "recognize", "color"):
+                assert main([command, str(bad)]) == EXIT_MALFORMED, (command, doc)
+        assert capsys.readouterr().out == ""
+        assert "malformed input: bad graph JSON: n must be an integer, got 3.9" in caplog.text
+        assert "edge end must be an integer, got '0'" in caplog.text
+
     def test_generate_kinds(self, tmp_path, capsys):
         for kind in ("sp", "line", "glue", "diamond", "bowtie", "isk4"):
             assert main(["generate", "--kind", kind, "--seed", "1",

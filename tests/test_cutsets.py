@@ -278,6 +278,12 @@ class TestBiconnectedBlocks:
         assert [b[0] for b in blocks] == [0, 5, 16, 21, 32]
         self.assert_grows_each_component(k33_line_chain(5), blocks)
 
+    def test_each_block_follows_the_one_above_it(self):
+        # Blocks come in reverse of the order the search leaves them, so the
+        # pendant edge at 1 comes before the one at 2 that is reached first.
+        g = build_graph([(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)], 5)
+        assert biconnected_blocks(g) == [(0, 1, 2), (1, 3), (2, 4)]
+
     def test_long_inputs_without_deep_recursion(self):
         n = 10_000
         path = path_graph(n)

@@ -42,6 +42,34 @@ class TestCompleteBipartite:
         g = build_graph([(0, 1), (2, 3)], 4)
         assert is_complete_bipartite(g) is None
 
+    def test_empty_and_edgeless(self):
+        assert is_complete_bipartite(build_graph([], 0)) == ((), ())
+        assert is_complete_bipartite(build_graph([], 3)) == ((0, 1, 2), ())
+
+    def test_matches_enumeration(self, rng):
+        hits = 0
+        for _ in range(3000):
+            n = rng.randrange(0, 9)
+            kind = rng.randrange(4)
+            if kind == 0:
+                g = random_graph(rng, n, rng.choice([0.0, 0.3, 0.6]))
+            else:
+                # Complete bipartite, then perhaps an edge flipped, an
+                # isolated vertex added or a second piece beside it.
+                a = rng.randrange(0, n + 1)
+                edges = {(u, v) for u in range(a) for v in range(a, n)}
+                if kind == 2 and n >= 2:
+                    edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+                if kind == 3:
+                    edges |= {(n, n + 1)} if rng.random() < 0.5 else set()
+                    n += 2
+                perm = rng.sample(range(n), n)
+                g = build_graph([(perm[u], perm[v]) for u, v in edges], n)
+            expected = oracles.complete_bipartite_sides(g)
+            assert is_complete_bipartite(g) == expected, (g.n, list(g.edges()))
+            hits += expected is not None
+        assert 500 < hits < 2500
+
 
 class TestSeriesParallel:
     def test_k4_false(self):
