@@ -9,12 +9,13 @@ so the whole search is O(n (n + m)).  A component forms a bare a-b path
 with the pair exactly when all its vertices have degree 2 and one of them
 is adjacent to a.
 
-The clique cutset search runs a minimal-triangulation pass (MCS-M) and
-scans the elimination order: any later-neighbor set that is a clique in the
-input and disconnects it is a clique minimal separator.  A graph with a
-clique cutset always exposes one this way, because a clique minimal
-separator is parallel to every other minimal separator and therefore
-survives into every minimal triangulation.
+The clique split runs one minimal-triangulation pass (MCS-M) and reads
+every atom (a maximal connected piece with no clique cutset of its own) off
+its elimination order (Berry, Pogorelcnik and Simonet, Algorithms 3, 2010).
+The generators' later fill neighbors are the minimal separators of the
+triangulation, among them every clique minimal separator of g.  Walking the
+order, each generator whose separator is a clique of g that still cuts what
+remains sheds the component holding it as an atom.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .graph import Graph, connected_components, is_connected
 __all__ = [
     "Proper2Cutset",
     "biconnected_blocks",
+    "clique_atoms",
     "find_clique_cutset",
     "find_proper_2_cutset",
 ]
@@ -119,19 +121,20 @@ def biconnected_blocks(g: Graph) -> List[Tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Minimal elimination ordering (MCS-M) and clique cutset search
+# Minimal elimination ordering (MCS-M) and clique atoms
 
 
-def _mcs_m(g: Graph) -> Tuple[List[int], Dict[int, Set[int]]]:
+def _mcs_m(g: Graph) -> Tuple[List[int], Dict[int, Set[int]], Set[int]]:
     """Maximum cardinality search for a minimal triangulation.
 
-    Returns the elimination order (first-eliminated first) and, per vertex,
-    its neighbors in the fill graph that come later in that order.  A vertex
-    y joins the reachable set of the currently numbered vertex z when some
-    path z..y runs entirely through unnumbered vertices of weight strictly
-    below w(y); the minimax path weight is computed Dijkstra-style.  The
-    fill neighbors of y numbered before it are exactly the vertices z whose
-    numbering reached y, so each is recorded then.
+    Returns the elimination order (first-eliminated first), per vertex its
+    later neighbors in the fill graph, and the generators: vertices numbered
+    with a weight no larger than that of the vertex numbered before them.  A
+    vertex y joins the reachable set of the currently numbered vertex z when
+    some path z..y runs entirely through unnumbered vertices of weight
+    strictly below w(y); the minimax path weight is computed Dijkstra-style.
+    The fill neighbors of y numbered before it are exactly the vertices z
+    whose numbering reached y, so each is recorded then.
     """
     vertices = list(g.vertices)
     n = len(vertices)
@@ -139,10 +142,12 @@ def _mcs_m(g: Graph) -> Tuple[List[int], Dict[int, Set[int]]]:
     madj: Dict[int, Set[int]] = {v: set() for v in vertices}
     unnumbered = set(vertices)
     picks: List[int] = []
+    levels: List[int] = []  # the weight of each pick when it was numbered
     for _ in range(n):
         z = max(unnumbered, key=lambda v: (weight[v], -v))
         unnumbered.discard(z)
         picks.append(z)
+        levels.append(weight[z])
         # dist[y]: minimal over z..y paths of the largest internal weight.
         dist: Dict[int, int] = {}
         pq: List[Tuple[int, int]] = []
@@ -163,35 +168,56 @@ def _mcs_m(g: Graph) -> Tuple[List[int], Dict[int, Set[int]]]:
             if d < weight[y]:
                 weight[y] += 1
                 madj[y].add(z)
+    generators = {picks[i] for i in range(1, n) if levels[i] <= levels[i - 1]}
     picks.reverse()
-    return picks, madj
+    return picks, madj, generators
 
 
 def _is_clique(g: Graph, vs: Sequence[int]) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
 
 
+def clique_atoms(g: Graph) -> List[Tuple[int, ...]]:
+    """The atoms of a connected graph, each sorted, last-found first.
+
+    Every atom after the first meets the union of the atoms before it in a
+    clique of g, the separator it was split off at, so the atoms are in the
+    order ``merge_at_clique`` needs.  One MCS-M pass; no recursion.
+    """
+    if not is_connected(g):
+        raise ContractViolationError("clique_atoms requires a connected graph")
+    order, madj, generators = _mcs_m(g)
+    left = set(g.vertices)
+    atoms: List[Tuple[int, ...]] = []
+    for x in order:
+        sep = madj[x]
+        if x not in generators or not sep | {x} <= left or not _is_clique(g, sorted(sep)):
+            continue
+        # Strip the component of (what is left) - sep that holds x off the rest.
+        rest = left - sep - {x}
+        todo = [x]
+        while todo:
+            for u in g.neighbors(todo.pop()):
+                if u in rest:
+                    rest.remove(u)
+                    todo.append(u)
+        if rest:
+            atoms.append(tuple(sorted(left - rest)))
+            left = rest | sep
+    return [tuple(sorted(left))] + atoms[::-1]
+
+
 def find_clique_cutset(g: Graph) -> Optional[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
     """Some clique cutset of a connected graph with its component partition.
 
     Returns (K, components of g - K) or None when no clique cutset exists.
-    Deterministic: candidates are scanned in elimination order.
+    K is where the second atom of ``clique_atoms`` meets the first.
     """
-    if not is_connected(g):
-        raise ContractViolationError("find_clique_cutset requires a connected graph")
-    if g.n <= 2:
+    atoms = clique_atoms(g)
+    if len(atoms) < 2:
         return None
-    order, madj = _mcs_m(g)
-    for v in order:
-        sep = madj[v]
-        if not sep or len(sep) >= g.n - 1:
-            continue
-        if not _is_clique(g, sorted(sep)):
-            continue
-        comps = connected_components(g, sep)
-        if len(comps) >= 2:
-            return tuple(sorted(sep)), comps
-    return None
+    cutset = tuple(sorted(set(atoms[0]) & set(atoms[1])))
+    return cutset, connected_components(g, cutset)
 
 
 # ---------------------------------------------------------------------------

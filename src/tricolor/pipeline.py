@@ -3,12 +3,12 @@
 :func:`decompose` builds one tree.  Every node peels its subgraph, then
 stops, splits into components, or tries the branches that are colored
 directly (complete bipartite, line graph of a sparse graph).  Only a
-residual they reject is split into its blocks, then on a clique cutset
-(MCS-M runs on 2-connected residues alone), and is classified last.  A
-residual with a proper 2-cutset keeps the minimal small side and hands the
-other side plus the pair to its one child, which goes through the same
-steps.  Coloring is one bottom-up fold over that tree, and the result ships
-as a certificate that re-validates offline.
+residual they reject is split into all its blocks, or else into all its
+clique atoms (one MCS-M pass, run on 2-connected residues alone), and is
+classified last.  A residual with a proper 2-cutset keeps the minimal small
+side and hands the other side plus the pair to its one child, which goes
+through the same steps.  Coloring is one bottom-up fold over that tree,
+and the result ships as a certificate that re-validates offline.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .coloring import (
     merge_at_clique,
     merge_at_proper2,
 )
-from .cutsets import biconnected_blocks, find_clique_cutset
+from .cutsets import biconnected_blocks, clique_atoms
 from .errors import ContractViolationError, PipelineError
 from .graph import (
     Graph,
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 CERTIFICATE_FORMAT = "tricolor.certificate/2"
-TREE_FORMAT = "tricolor.tree/3"
+TREE_FORMAT = "tricolor.tree/4"
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +67,15 @@ class TreeNode:
     """One node of the decomposition tree: an induced subgraph of the input.
 
     ``removed`` logs the degree-<=2 peel applied at this node.  ``cutset`` is
-    the clique the peeled residual splits on (empty tuple for a plain
-    component split), the cut vertices of a ``blocks`` node, or the pair of
-    a proper 2-cutset, and None at leaves.  A ``blocks`` node's children are
-    the blocks of its residual, each meeting the union of the earlier ones in
-    exactly one cut vertex.  ``verdict`` classifies the residual of ``basic``
-    and ``proper_2_cutset`` nodes; a ``proper_2_cutset`` node's one child is
-    ``side_y`` plus the pair.  A ``basic`` residual in the complete-bipartite
-    or line-of-sparse branch may still have a clique cutset: those branches
-    are colored without one.
+    the empty tuple for a component split, the vertices in two or more
+    children of a ``blocks`` or ``atoms`` node, the pair of a proper
+    2-cutset, and None at leaves.  The children of a ``blocks`` (``atoms``)
+    node are the blocks (clique atoms) of its residual, each meeting the
+    union of the earlier ones in one cut vertex (a clique).  ``verdict``
+    classifies the residual of ``basic`` and ``proper_2_cutset`` nodes; a
+    ``proper_2_cutset`` node's one child is ``side_y`` plus the pair.  A
+    ``basic`` residual in the complete-bipartite or line-of-sparse branch
+    may still have a clique cutset: those branches are colored without one.
     """
 
     node_id: int
@@ -84,7 +84,7 @@ class TreeNode:
     removed: RemovalLog
     cutset: Optional[Tuple[int, ...]]
     children: Tuple[int, ...]
-    kind: str  # "empty" | "components" | "blocks" | "clique" | "basic" | "proper_2_cutset"
+    kind: str  # "empty" | "components" | "blocks" | "atoms" | "basic" | "proper_2_cutset"
     verdict: Optional[BasicVerdict]
 
 
@@ -127,7 +127,7 @@ class DecompositionTree:
 def _split(
     residual: Graph,
 ) -> Tuple[str, Optional[Tuple[int, ...]], List[Tuple[int, ...]], Optional[BasicVerdict]]:
-    """Kind, cutset, child vertex sets and verdict of a node with this residual."""
+    """Kind, cutset, child vertex sets and verdict; blocks and atoms share one path."""
     comps = connected_components(residual)
     if not comps:
         return "empty", None, [], None
@@ -136,14 +136,11 @@ def _split(
     verdict = classify_direct(residual)
     if verdict is not None:
         return "basic", None, [], verdict
-    blocks = biconnected_blocks(residual)
-    if len(blocks) > 1:
-        counts = Counter(v for block in blocks for v in block)
-        return "blocks", tuple(sorted(v for v, k in counts.items() if k > 1)), blocks, None
-    found = find_clique_cutset(residual)
-    if found is not None:
-        cutset, comps = found
-        return "clique", cutset, [tuple(sorted(set(c) | set(cutset))) for c in comps], None
+    for kind, pieces in (("blocks", biconnected_blocks), ("atoms", clique_atoms)):
+        parts = pieces(residual)
+        if len(parts) > 1:
+            counts = Counter(v for part in parts for v in part)
+            return kind, tuple(sorted(v for v, k in counts.items() if k > 1)), parts, None
     verdict = classify_residue(residual)
     if verdict.branch == BRANCH_PROPER_2_CUTSET:
         pair = verdict.cutset.pair
@@ -152,17 +149,17 @@ def _split(
 
 
 def decompose(g: Graph) -> DecompositionTree:
-    """Decompose by degree-<=2 peels, cut vertices, clique cutsets and proper 2-cutsets.
+    """Decompose by degree-<=2 peels, cut vertices, clique atoms and proper 2-cutsets.
 
     Each node peels its subgraph to fixpoint.  An empty residual ends the
     branch and a disconnected one splits into its components (the empty
     clique).  A connected one that is complete bipartite or the line graph
     of a sparse graph is a ``basic`` leaf, clique cutsets or not.  Otherwise
     a residual with a cut vertex splits into all its blocks at once, and a
-    2-connected one splits on a clique cutset when it has one.  What remains
-    is classified: in the proper-2-cutset branch the node keeps the minimal
-    small side and its child is the other side plus the pair, any other
-    verdict makes a leaf.  No residual is tested for a branch twice.
+    2-connected one with a clique cutset into all its clique atoms at once,
+    read off one MCS-M pass.  What remains is classified: in the
+    proper-2-cutset branch the node keeps the minimal small side and its
+    child is the other side plus the pair, any other verdict makes a leaf.  No residual is tested for a branch twice.
     Children sit one layer deeper and get larger ids than their parent.
     Fully peeled leaves are kept: the color replay needs their logs.  The
     walk uses an explicit stack, so its depth does not grow with n.
@@ -279,7 +276,7 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
             (child_id,) = node.children
             residual_coloring = merge_at_proper2(dual, folded.pop(child_id), a, b)
         else:
-            # components, blocks or clique: children in order, each aligned
+            # components, blocks or atoms: children in order, each aligned
             # where it meets the earlier ones.
             pieces = [folded.pop(child_id) for child_id in node.children]
             residual_coloring = merge_at_clique(g, pieces)

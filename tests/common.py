@@ -1,5 +1,7 @@
 """Small named graphs used across the test modules."""
 
+import random
+
 from tricolor import Graph, build_graph, line_graph, subdivide
 
 
@@ -140,6 +142,25 @@ def k33_line_chain(pieces: int) -> Graph:
         n += piece.n - 1
         edges += [(ids[u], ids[v]) for u, v in piece.edges()]
         last = ids[piece.n - 1]
+    return build_graph(edges, n)
+
+
+def k33_edge_tree(seed: int, copies: int) -> Graph:
+    """A tree of K3,3 copies, each glued at one of its edges to a random earlier edge.
+
+    Edge sums of bipartite graphs stay bipartite, hence triangle-free, so no
+    diamond or bowtie forms, and a clique sum creates no induced K4
+    subdivision: the tree is a member, n = 4 * copies + 2.  Its atoms are
+    the copies, met one edge at a time.
+    """
+    rng = random.Random(seed)
+    edges = [(a, b) for a in range(3) for b in range(3, 6)]
+    n = 6
+    for _ in range(copies - 1):
+        u, v = rng.choice(edges)
+        side_u, side_v = (u, n, n + 1), (v, n + 2, n + 3)
+        edges += [(a, b) for a in side_u for b in side_v if (a, b) != (u, v)]
+        n += 4
     return build_graph(edges, n)
 
 

@@ -300,6 +300,27 @@ def find_clique_cutset_bruteforce(
     return None
 
 
+def clique_atoms_bruteforce(g: Graph) -> List[Tuple[int, ...]]:
+    """The atoms of a connected graph, sorted, by splitting until nothing splits.
+
+    Each piece with a clique cutset K (under ``find_clique_cutset_bruteforce``)
+    becomes K plus each component of the piece - K.  An atom has no clique
+    cutset, so it survives whole inside one final piece; the maximal final
+    pieces are therefore exactly the atoms.
+    """
+    todo = [tuple(g.vertices)]
+    final: List[Set[int]] = []
+    while todo:
+        piece = todo.pop()
+        found = find_clique_cutset_bruteforce(induced_subgraph(g, piece))
+        if found is None:
+            final.append(set(piece))
+            continue
+        cutset, comps = found
+        todo += [tuple(sorted(set(c) | set(cutset))) for c in comps]
+    return sorted({tuple(sorted(p)) for p in final if not any(p < q for q in final)})
+
+
 def _side_is_ab_path(g: Graph, side: Set[int], a: int, b: int) -> bool:
     """Does side + {a, b} induce a path whose two ends are a and b?
 

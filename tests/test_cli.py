@@ -8,6 +8,7 @@ import pytest
 from common import (
     complete_bipartite,
     cycle_graph,
+    k33_edge_tree,
     k33_line_chain,
     order7_with_k33_side,
     path_graph,
@@ -143,12 +144,21 @@ class TestCommands:
         assert root["kind"] == "blocks" and root["cutset"] == [5, 16, 21, 32]
         assert len(root["children"]) == 5
 
+    def test_decompose_atoms_node(self, tmp_path, capsys):
+        gfile = write_graph_file(tmp_path, k33_edge_tree(2, 4))
+        assert main(["decompose", gfile]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "tree")
+        root = doc["nodes"][0]
+        assert root["kind"] == "atoms" and len(root["children"]) == 4
+        assert doc["layers"] == 2
+
     def test_decompose_proper_2_cutset_node(self, tmp_path, capsys):
         gfile = write_graph_file(tmp_path, order7_with_k33_side())
         assert main(["decompose", gfile]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         validate(doc, "tree")
-        assert doc["format"] == "tricolor.tree/3"
+        assert doc["format"] == "tricolor.tree/4"
         nodes = {nd["id"]: nd for nd in doc["nodes"]}
         (cut,) = [nd for nd in doc["nodes"] if nd["kind"] == "proper_2_cutset"]
         assert cut["cutset"] == [0, 3] and cut["branch"] == "proper_2_cutset"

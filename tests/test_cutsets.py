@@ -11,6 +11,7 @@ from common import (
     bridged_cubic,
     complete_bipartite,
     cycle_graph,
+    k33_edge_tree,
     k33_line_chain,
     order7_on_prism,
     path_graph,
@@ -20,6 +21,7 @@ from common import (
 )
 from conftest import random_graph
 from oracles import (
+    clique_atoms_bruteforce,
     find_clique_cutset_bruteforce,
     proper_2_cutset_pair_scan,
     replay_removals,
@@ -40,6 +42,7 @@ from tricolor import (
     subdivide,
     verify_membership,
 )
+from tricolor.cutsets import clique_atoms
 
 
 def fixed_graphs_with_cut_vertices():
@@ -59,6 +62,16 @@ def assert_valid_cutset(g, found):
         assert is_connected(induced_subgraph(g, c))
     for c1, c2 in combinations(comps, 2):
         assert not any(g.has_edge(u, v) for u in c1 for v in c2)
+
+
+def clique_meets(g, pieces):
+    """Where each piece meets the earlier ones, each a nonempty clique of g, united."""
+    meets = set()
+    for i in range(1, len(pieces)):
+        meet = set(pieces[i]) & set().union(*pieces[:i])
+        assert meet and all(g.has_edge(u, v) for u, v in combinations(meet, 2))
+        meets |= meet
+    return meets
 
 
 class TestFindCliqueCutset:
@@ -96,6 +109,28 @@ class TestFindCliqueCutset:
             assert (fast is None) == (ref is None), sorted(g.edges())
             if fast is not None:
                 assert_valid_cutset(g, fast)
+
+
+class TestCliqueAtoms:
+    def test_path_splits_at_every_edge(self):
+        assert clique_atoms(path_graph(4)) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ContractViolationError):
+            clique_atoms(build_graph([(0, 1), (2, 3)], 4))
+
+    def test_matches_bruteforce(self, rng):
+        checked = split = 0
+        while checked < 2000:
+            g = random_graph(rng, rng.randrange(3, 12), rng.choice([0.2, 0.3, 0.45, 0.6]))
+            if not is_connected(g):
+                continue
+            checked += 1
+            atoms = clique_atoms(g)
+            assert sorted(atoms) == clique_atoms_bruteforce(g), sorted(g.edges())
+            split += len(atoms) > 1
+            clique_meets(g, atoms)
+        assert split >= 1000
 
 
 class TestBuildCliqueTree:
@@ -178,7 +213,7 @@ class TestBuildCliqueTree:
         assert rep.verdict == "nonmember" and rep.witness.kind == "bowtie"
 
     def test_children_cover_and_intersect_in_cutset(self, rng):
-        graphs = [order7_on_prism()] + fixed_graphs_with_cut_vertices()
+        graphs = [order7_on_prism(), k33_edge_tree(5, 12)] + fixed_graphs_with_cut_vertices()
         graphs += [random_graph(rng, rng.randrange(2, 12), 0.3) for _ in range(25)]
         for g in graphs:
             t = decompose(g)
@@ -202,6 +237,9 @@ class TestBuildCliqueTree:
                         (top,) = child_sets[i] & set().union(*child_sets[:i])
                         tops.add(top)
                     assert tops == set(node.cutset)
+                    continue
+                if node.kind == "atoms":
+                    assert clique_meets(g, child_sets) == set(node.cutset)
                     continue
                 for s1, s2 in combinations(child_sets, 2):
                     assert s1 & s2 == set(node.cutset)
@@ -244,7 +282,7 @@ class TestBuildCliqueTree:
 
     def test_json_shape(self):
         doc = decompose(prism_graph()).to_json()
-        assert doc["format"] == "tricolor.tree/3"
+        assert doc["format"] == "tricolor.tree/4"
         assert doc["nodes"][0]["kind"] == "basic"
         assert doc["nodes"][0]["branch"] == "line_of_sparse"
 

@@ -6,6 +6,7 @@ import pytest
 
 from common import (
     complete_bipartite,
+    k33_edge_tree,
     k33_line_chain,
     complete_graph,
     cycle_graph,
@@ -26,7 +27,7 @@ from tricolor import (
     subdivide,
     verify_certificate,
 )
-from tricolor import pipeline
+from tricolor import cutsets, pipeline
 from tricolor.pipeline import ColoringCertificate
 
 
@@ -135,7 +136,7 @@ class TestClassifyBeforeCutsetSearch:
         def refuse(g):
             raise AssertionError(f"clique cutset search ran on n={g.n}")
 
-        monkeypatch.setattr(pipeline, "find_clique_cutset", refuse)
+        monkeypatch.setattr(pipeline, "clique_atoms", refuse)
 
     def test_chain_splits_at_every_cut_vertex(self, no_clique_cutset_search):
         g = k33_line_chain(150)
@@ -151,6 +152,22 @@ class TestClassifyBeforeCutsetSearch:
         cert = color_class_member(g)
         assert cert.leaf_verdicts == ({"size": 768, "branch": "line_of_sparse"},)
         assert verify_certificate(g, cert)
+
+
+class TestAtomsNode:
+    def test_edge_tree_is_one_flat_atoms_node(self, monkeypatch):
+        # 400 K3,3 copies glued at edges: one MCS-M pass lists every copy.
+        g = k33_edge_tree(7, 400)
+        assert g.n == 1602
+        runs = []
+        mcs_m = cutsets._mcs_m
+        monkeypatch.setattr(cutsets, "_mcs_m", lambda h: runs.append(h.n) or mcs_m(h))
+        t = pipeline.decompose(g)
+        assert runs == [1602]
+        assert t.layers == 2
+        assert t.root.kind == "atoms" and len(t.root.children) == 400
+        assert {t.nodes[c].verdict.branch for c in t.root.children} == {"complete_bipartite"}
+        assert verify_certificate(g, color_class_member(g))
 
 
 def _refuse_pattern_oracles(monkeypatch):
