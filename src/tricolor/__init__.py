@@ -46,7 +46,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    RemovalLog,
     build_graph,
     connected_components,
     induced_subgraph,

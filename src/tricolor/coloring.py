@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceededError, ContractViolationError, PipelineError
-from .graph import PEEL_DEGREE, Graph, RemovalLog, is_connected
+from .graph import Graph, is_connected
 from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
@@ -537,23 +537,20 @@ def merge_at_proper2(dual: DualColorings, ty_coloring: VertexColoring,
     return VertexColoring(merged, 3)
 
 
-def add_back_peeled(coloring: VertexColoring, log: RemovalLog) -> VertexColoring:
+def add_back_peeled(g: Graph, coloring: VertexColoring,
+                    order: Sequence[int]) -> VertexColoring:
     """Replay a peel in reverse, giving each vertex the least free color.
 
-    Every logged vertex had at most ``PEEL_DEGREE`` (two) neighbors when
-    removed, so a color in {0, 1, 2} is always free.
+    ``order`` is the removal order of a peel of an induced subgraph of g,
+    and ``coloring`` covers that peel's residual and nothing else of g.  The
+    colored neighbours of each replayed vertex are then exactly its
+    neighbours when it was removed, at most two, so a color is free.
     """
     work = dict(coloring.colors)
-    for v, nbrs in reversed(log.entries):
-        if len(nbrs) > PEEL_DEGREE:
-            raise ContractViolationError(
-                f"vertex {v} had {len(nbrs)} neighbors at removal time"
-            )
-        try:
-            taken = {work[u] for u in nbrs}
-        except KeyError as exc:
-            raise ContractViolationError(
-                f"neighbor of {v} not colored before replay"
-            ) from exc
-        work[v] = min(c for c in PALETTE if c not in taken)
+    for v in reversed(order):
+        taken = {work.get(u) for u in g.neighbors(v)}
+        free = [c for c in PALETTE if c not in taken]
+        if not free:
+            raise ContractViolationError(f"no color free for replayed vertex {v}")
+        work[v] = free[0]
     return VertexColoring(work, 3)

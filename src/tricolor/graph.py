@@ -3,7 +3,8 @@
 Everything downstream works on :class:`Graph`: an immutable simple undirected
 graph with stable integer vertex ids.  Stability matters: induced subgraphs
 keep the parent's ids, so colorings computed on pieces can be merged without
-translation tables.
+translation tables, and a peel is recorded as its removal order alone: the
+neighbours a vertex had when it was removed are read back off the graph.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ import hashlib
 import heapq
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .errors import MalformedInputError
 
 __all__ = [
     "Graph",
-    "RemovalLog",
     "build_graph",
     "induced_subgraph",
     "peel_low_degree",
@@ -128,27 +127,6 @@ def _sorted_contains(seq: Sequence[int], x: int) -> bool:
     return i < len(seq) and seq[i] == x
 
 
-@dataclass(frozen=True)
-class RemovalLog:
-    """Ordered record of peeled vertices and their neighbors at removal time.
-
-    Replaying the entries in order on the parent graph reproduces the peeled
-    residual; replaying them in reverse on the residual reconstructs the
-    parent exactly.
-    """
-
-    entries: Tuple[Tuple[int, Tuple[int, ...]], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def removed_vertices(self) -> Tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    def to_json(self) -> List[List]:
-        return [[v, list(nbrs)] for v, nbrs in self.entries]
-
-
 def build_graph(edge_list: Iterable[Tuple[int, int]], n: int) -> Graph:
     """Build a Graph on vertex ids ``0..n-1`` from an edge list.
 
@@ -192,31 +170,30 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(adj, deg_sum // 2)
 
 
-def peel_low_degree(g: Graph) -> Tuple[Graph, RemovalLog]:
+def peel_low_degree(g: Graph) -> Tuple[Graph, Tuple[int, ...]]:
     """Remove vertices of degree <= ``PEEL_DEGREE`` until none remain.
 
-    Removal order is deterministic: the lowest eligible id goes first.  The
-    log records each vertex with the neighbors it had at removal time, read
-    off ``g`` minus the vertices already removed, which is exactly what the
-    reverse color-replay needs.  Degrees only fall, so a vertex enters the
-    heap once: at the start or when its degree first drops to the bound.
+    Returns the residual and the removal order.  The lowest eligible id goes
+    first, so the order is deterministic.  A vertex's neighbours at removal
+    time are its neighbours in ``g`` outside the vertices removed before it,
+    which is all the reverse color-replay needs.  Degrees only fall, so a
+    vertex enters the heap once: at the start or when its degree first drops
+    to the bound.
     """
     deg = {v: g.degree(v) for v in g.vertices}
     heap = [v for v in g.vertices if deg[v] <= PEEL_DEGREE]
     heapq.heapify(heap)
-    removed: Set[int] = set()
-    entries: List[Tuple[int, Tuple[int, ...]]] = []
+    removed: Dict[int, None] = {}  # keys in removal order
     while heap:
         v = heapq.heappop(heap)
-        nbrs = tuple(u for u in g.neighbors(v) if u not in removed)
-        entries.append((v, nbrs))
-        removed.add(v)
-        for u in nbrs:
-            deg[u] -= 1
-            if deg[u] == PEEL_DEGREE:
-                heapq.heappush(heap, u)
+        removed[v] = None
+        for u in g.neighbors(v):
+            if u not in removed:
+                deg[u] -= 1
+                if deg[u] == PEEL_DEGREE:
+                    heapq.heappush(heap, u)
     residual = induced_subgraph(g, (v for v in g.vertices if v not in removed))
-    return residual, RemovalLog(tuple(entries))
+    return residual, tuple(removed)
 
 
 def connected_components(g: Graph, without: Iterable[int] = ()) -> List[Tuple[int, ...]]:

@@ -4,8 +4,9 @@ The hereditary class handled by this package excludes three induced patterns:
 the diamond (K4 minus an edge), the bowtie (two triangles sharing exactly one
 vertex), and any subdivision of K4.  Diamond and bowtie detection is
 polynomial.  No polynomial algorithm is known for detecting an induced K4
-subdivision, so that oracle is exact only up to a size budget and degrades to
-a bounded search in a fixed shuffled order beyond it.
+subdivision, so that oracle searches only the 2-core (an induced K4
+subdivision has minimum degree 2), exactly when the 2-core fits a size budget
+and beyond it by a bounded search in a fixed shuffled order.
 """
 
 from __future__ import annotations
@@ -242,28 +243,41 @@ def _search(g: Graph, order: Sequence[int],
     return None, False
 
 
-def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
-    """Search for an induced subdivision of K4.
+def _two_core(g: Graph) -> Graph:
+    """What is left of g after repeatedly deleting vertices of degree <= 1."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    stack = [v for v in g.vertices if deg[v] <= 1]
+    while stack:
+        for u in g.neighbors(stack.pop()):
+            deg[u] -= 1
+            if deg[u] == 1:  # once per vertex: degrees only fall
+                stack.append(u)
+    return induced_subgraph(g, (v for v in g.vertices if deg[v] > 1))
 
-    Exact mode (n <= budget) runs :func:`_search` over ascending roots, so
-    the first root with a witness holds the lexicographically least one; it
-    returns that witness or None.  Cut after ``EXACT_MAX_STEPS`` steps, it
-    returns the least witness found so far, or raises without one.  Beyond
-    the budget the roots are shuffled by ``random.Random(0)``, the search
-    stops after ``BOUNDED_MAX_STEPS`` steps, and without a witness the result
-    is the string ``"unknown"``.  K4 itself counts (the trivial subdivision).
+
+def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
+    """Search the 2-core of g for an induced subdivision of K4.
+
+    Exact mode (2-core size <= budget) runs :func:`_search` over ascending
+    roots, so the first root with a witness holds the least one; it returns
+    that witness or None.  Cut after ``EXACT_MAX_STEPS`` steps, it returns
+    the least witness found so far, or raises without one.  Beyond the budget
+    the roots are shuffled by ``random.Random(0)``, the search stops after
+    ``BOUNDED_MAX_STEPS`` steps, and without a witness the result is the
+    string ``"unknown"``.  K4 itself counts (the trivial subdivision).
     """
-    exact = g.n <= budget
-    order = list(g.vertices)
+    core = _two_core(g)
+    exact = core.n <= budget
+    order = list(core.vertices)
     if not exact:
         random.Random(0).shuffle(order)
-    found, cut = _search(g, order, EXACT_MAX_STEPS if exact else BOUNDED_MAX_STEPS)
+    found, cut = _search(core, order, EXACT_MAX_STEPS if exact else BOUNDED_MAX_STEPS)
     if found is None:
         if not exact:
             return VERDICT_UNKNOWN
         if cut:
             raise BudgetExceededError(
-                f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={g.n}"
+                f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={core.n}"
             )
         return None
     corners, paths = _corner_paths(induced_subgraph(g, found))
@@ -274,7 +288,7 @@ def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Membershi
     """Run all three forbidden-pattern oracles and combine the verdicts.
 
     ``member`` requires every pattern to be excluded in exact mode, which for
-    the K4-subdivision oracle means n <= budget.
+    the K4-subdivision oracle means a 2-core of at most ``budget`` vertices.
     """
     w = find_diamond(g)
     if w is not None:
@@ -282,8 +296,9 @@ def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Membershi
     w = find_bowtie(g)
     if w is not None:
         return MembershipReport(VERDICT_NONMEMBER, w, mode="exact", budget=budget)
-    exact = g.n <= budget
-    result = find_isk4(g, budget=budget)
+    core = _two_core(g)
+    exact = core.n <= budget
+    result = find_isk4(core, budget=budget)  # core's 2-core is core: same mode
     if isinstance(result, PatternWitness):
         return MembershipReport(
             VERDICT_NONMEMBER, result, mode="exact" if exact else "bounded", budget=budget

@@ -30,7 +30,6 @@ from .cutsets import biconnected_blocks, clique_atoms
 from .errors import ContractViolationError, PipelineError
 from .graph import (
     Graph,
-    RemovalLog,
     connected_components,
     induced_subgraph,
     json_int,
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 CERTIFICATE_FORMAT = "tricolor.certificate/2"
-TREE_FORMAT = "tricolor.tree/4"
+TREE_FORMAT = "tricolor.tree/5"
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +65,8 @@ TREE_FORMAT = "tricolor.tree/4"
 class TreeNode:
     """One node of the decomposition tree: an induced subgraph of the input.
 
-    ``removed`` logs the degree-<=2 peel applied at this node.  ``cutset`` is
+    ``removed`` lists the vertices of this node's degree-<=2 peel in removal
+    order; replay reads their neighbours off the input graph.  ``cutset`` is
     the empty tuple for a component split, the vertices in two or more
     children of a ``blocks`` or ``atoms`` node, the pair of a proper
     2-cutset, and None at leaves.  The children of a ``blocks`` (``atoms``)
@@ -81,7 +81,7 @@ class TreeNode:
     node_id: int
     layer: int
     vertices: Tuple[int, ...]
-    removed: RemovalLog
+    removed: Tuple[int, ...]
     cutset: Optional[Tuple[int, ...]]
     children: Tuple[int, ...]
     kind: str  # "empty" | "components" | "blocks" | "atoms" | "basic" | "proper_2_cutset"
@@ -99,7 +99,7 @@ class DecompositionTree:
         return self.nodes[0]
 
     def residual_vertices(self, node: TreeNode) -> Tuple[int, ...]:
-        removed = set(node.removed.removed_vertices())
+        removed = set(node.removed)
         return tuple(v for v in node.vertices if v not in removed)
 
     def to_json(self) -> Dict:
@@ -113,7 +113,7 @@ class DecompositionTree:
                     "id": nd.node_id,
                     "layer": nd.layer,
                     "vertices": list(nd.vertices),
-                    "removed": nd.removed.to_json(),
+                    "removed": list(nd.removed),
                     "cutset": list(nd.cutset) if nd.cutset is not None else None,
                     "children": list(nd.children),
                     "kind": nd.kind,
@@ -159,10 +159,11 @@ def decompose(g: Graph) -> DecompositionTree:
     2-connected one with a clique cutset into all its clique atoms at once,
     read off one MCS-M pass.  What remains is classified: in the
     proper-2-cutset branch the node keeps the minimal small side and its
-    child is the other side plus the pair, any other verdict makes a leaf.  No residual is tested for a branch twice.
-    Children sit one layer deeper and get larger ids than their parent.
-    Fully peeled leaves are kept: the color replay needs their logs.  The
-    walk uses an explicit stack, so its depth does not grow with n.
+    child is the other side plus the pair, any other verdict makes a leaf.
+    No residual is tested for a branch twice.  Children sit one layer deeper
+    and get larger ids than their parent.  Fully peeled leaves are kept: the
+    color replay needs their removal orders.  The walk uses an explicit
+    stack, so its depth does not grow with n.
     """
     nodes: List[Optional[TreeNode]] = []
     stack: List[Tuple[Graph, int, int]] = []
@@ -176,13 +177,13 @@ def decompose(g: Graph) -> DecompositionTree:
     open_node(g, 1)
     while stack:
         sub, layer, node_id = stack.pop()
-        residual, log = peel_low_degree(sub)
+        residual, order = peel_low_degree(sub)
         kind, cutset, parts, verdict = _split(residual)
         child_ids = tuple(
             open_node(induced_subgraph(residual, part), layer + 1) for part in parts
         )
         nodes[node_id] = TreeNode(
-            node_id, layer, sub.vertices, log, cutset, child_ids, kind, verdict
+            node_id, layer, sub.vertices, order, cutset, child_ids, kind, verdict
         )
     layers = max(nd.layer for nd in nodes)
     return DecompositionTree(g, tuple(nodes), layers)
@@ -280,7 +281,7 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
             # where it meets the earlier ones.
             pieces = [folded.pop(child_id) for child_id in node.children]
             residual_coloring = merge_at_clique(g, pieces)
-        folded[node.node_id] = add_back_peeled(residual_coloring, node.removed)
+        folded[node.node_id] = add_back_peeled(g, residual_coloring, node.removed)
     return folded[tree.root.node_id], fallbacks
 
 

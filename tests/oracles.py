@@ -15,7 +15,6 @@ from tricolor import (
     ContractViolationError,
     Graph,
     Proper2Cutset,
-    RemovalLog,
     connected_components,
     induced_subgraph,
     is_connected,
@@ -234,40 +233,41 @@ def has_triangle(g: Graph) -> bool:
     )
 
 
-def replay_removals(residual: Graph, log: RemovalLog) -> Graph:
-    """Invert a peel: add logged vertices back in reverse order."""
+def replay_removals(g: Graph, residual: Graph, order: Sequence[int]) -> Graph:
+    """Invert a peel of an induced subgraph of g: add ``order`` back in reverse.
+
+    Each replayed vertex gets its edges in g to the vertices already present,
+    and there must be at most two of them, as when the peel removed it.
+    """
     adj: Dict[int, Set[int]] = {v: set(residual.neighbors(v)) for v in residual.vertices}
-    for v, nbrs in reversed(log.entries):
+    for v in reversed(order):
         if v in adj:
             raise ContractViolationError(f"vertex {v} already present during replay")
-        adj[v] = set()
-        for u in nbrs:
-            if u not in adj:
-                raise ContractViolationError(
-                    f"neighbor {u} of replayed vertex {v} not present yet"
-                )
-            adj[v].add(u)
+        adj[v] = {u for u in g.neighbors(v) if u in adj}
+        if len(adj[v]) > 2:
+            raise ContractViolationError(
+                f"replayed vertex {v} has {len(adj[v])} neighbors present"
+            )
+        for u in adj[v]:
             adj[u].add(v)
     return Graph.from_adjacency(adj)
 
 
-def reference_peel(g: Graph) -> Tuple[Tuple[int, ...], List[Tuple[int, Tuple[int, ...]]]]:
+def reference_peel(g: Graph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Degree-<=2 peel that recomputes the eligible set at every step.
 
-    Each step removes the least vertex with at most two neighbours left and
-    records those neighbours, sorted.  Returns the residual's vertices and
-    the log entries.
+    Each step removes the least vertex with at most two neighbours left.
+    Returns the residual's vertices and the removal order.
     """
     alive = set(g.vertices)
-    entries: List[Tuple[int, Tuple[int, ...]]] = []
+    order: List[int] = []
     while True:
-        left = {v: sorted(u for u in g.neighbors(v) if u in alive) for v in alive}
-        eligible = [v for v, nbrs in left.items() if len(nbrs) <= 2]
+        eligible = [v for v in alive if sum(u in alive for u in g.neighbors(v)) <= 2]
         if not eligible:
-            return tuple(sorted(alive)), entries
+            return tuple(sorted(alive)), tuple(order)
         v = min(eligible)
         alive.remove(v)
-        entries.append((v, tuple(left[v])))
+        order.append(v)
 
 
 def _all_cliques(g: Graph):

@@ -10,6 +10,7 @@ from common import (
     cycle_graph,
     k33_edge_tree,
     k33_line_chain,
+    order7_on_prism,
     order7_with_k33_side,
     path_graph,
     prism_graph,
@@ -158,13 +159,42 @@ class TestCommands:
         assert main(["decompose", gfile]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         validate(doc, "tree")
-        assert doc["format"] == "tricolor.tree/4"
+        assert doc["format"] == "tricolor.tree/5"
         nodes = {nd["id"]: nd for nd in doc["nodes"]}
         (cut,) = [nd for nd in doc["nodes"] if nd["kind"] == "proper_2_cutset"]
         assert cut["cutset"] == [0, 3] and cut["branch"] == "proper_2_cutset"
         (child_id,) = cut["children"]
         assert nodes[child_id]["kind"] == "basic"
         assert nodes[child_id]["branch"] == "complete_bipartite"
+
+    def test_decompose_lists_removed_vertices(self, tmp_path, capsys):
+        # The proper-2-cutset child peels the apexes 0 and 3 off its side.
+        gfile = write_graph_file(tmp_path, order7_on_prism())
+        assert main(["decompose", gfile]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "tree")
+        (child,) = [nd for nd in doc["nodes"] if nd["id"] in doc["nodes"][0]["children"]]
+        assert child["removed"] == [0, 3]
+        # The schema takes plain ids only, not the vertex-and-neighbours pairs
+        # of earlier formats.
+        child["removed"] = [[0, [6]], [3, [10]]]
+        with pytest.raises(jsonschema.ValidationError):
+            validate(doc, "tree")
+
+    def test_long_path_membership_exact_and_color_verifies(self, tmp_path, capsys):
+        # A path has an empty 2-core, so the K4-subdivision search is exact
+        # and instant however long the path is.
+        gfile = write_graph_file(tmp_path, path_graph(10_000))
+        assert main(["membership", gfile]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "membership")
+        assert doc["verdict"] == "member" and doc["mode"] == "exact"
+        assert main(["color", gfile]) == EXIT_OK
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(capsys.readouterr().out)
+        validate(json.loads(cert_file.read_text()), "certificate")
+        assert main(["verify", gfile, str(cert_file)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"valid": True}
 
     def test_chi(self, tmp_path, capsys):
         gfile = write_graph_file(tmp_path, cycle_graph(5))

@@ -501,47 +501,44 @@ class TestMergeAtProper2:
 class TestAddBackPeeled:
     def test_pendant_gets_least_free(self):
         g = path_graph(2)
-        residual, log = peel_low_degree(g)
-        coloring = add_back_peeled(VertexColoring({}), log)
+        residual, order = peel_low_degree(g)
+        coloring = add_back_peeled(g, VertexColoring({}), order)
         assert coloring.is_proper(g)
         # Replayed last-removed-first: 1 takes 0, then 0 avoids it.
         assert coloring.colors == {1: 0, 0: 1}
 
     def test_degree_two_neighbors_zero_one(self):
-        # Hand-built log entry: vertex 1 was removed with neighbors 0, 2.
-        from tricolor import RemovalLog
-
-        log = RemovalLog(((1, (0, 2)),))
-        coloring = add_back_peeled(VertexColoring({0: 0, 2: 1}), log)
+        # Hand-built order on the path 0-1-2: vertex 1 was removed with
+        # neighbors 0 and 2, both colored.
+        coloring = add_back_peeled(path_graph(3), VertexColoring({0: 0, 2: 1}), (1,))
         assert coloring[1] == 2
 
     def test_full_tree(self):
         tree = build_graph([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)], 7)
-        residual, log = peel_low_degree(tree)
+        residual, order = peel_low_degree(tree)
         assert residual.n == 0
-        coloring = add_back_peeled(VertexColoring({}), log)
+        coloring = add_back_peeled(tree, VertexColoring({}), order)
         assert coloring.is_proper(tree)
         assert coloring.palette_size() <= 3
 
     def test_three_neighbors_rejected(self):
-        from tricolor import RemovalLog
-
-        log = RemovalLog(((9, (0, 1, 2)),))
+        # Vertex 9 is adjacent to vertices colored 0, 1 and 2: no color is free.
+        star = build_graph([(9, 0), (9, 1), (9, 2)], 10)
         with pytest.raises(ContractViolationError):
-            add_back_peeled(VertexColoring({0: 0, 1: 1, 2: 2}), log)
+            add_back_peeled(star, VertexColoring({0: 0, 1: 1, 2: 2}), (9,))
 
     def test_extends_any_proper_residual_coloring(self, rng):
         """Replaying a peel on top of any proper 3-coloring stays proper."""
         checked = 0
         while checked < 60:
             g = random_graph(rng, rng.randrange(1, 13), rng.choice([0.2, 0.35]))
-            residual, log = peel_low_degree(g)
+            residual, order = peel_low_degree(g)
             if residual.n > 10:
                 continue
             chi, witness = chi_exact(residual)
             if chi > 3:
                 continue  # residual needs more than three colors
-            full = add_back_peeled(witness, log)
+            full = add_back_peeled(g, witness, order)
             assert full.is_proper(g)
             checked += 1
 

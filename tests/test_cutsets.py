@@ -181,7 +181,7 @@ class TestBuildCliqueTree:
         (child_id,) = t.root.children
         child = t.nodes[child_id]
         assert child.vertices == (0, 3, 6, 7, 8, 9, 10, 11)
-        assert child.removed.removed_vertices() == (0, 3)
+        assert child.removed == (0, 3)
         assert child.kind == "basic" and child.verdict.branch == "line_of_sparse"
         assert child.layer == 2 and t.layers == 2
 
@@ -276,13 +276,13 @@ class TestBuildCliqueTree:
                 if not node.children:
                     residual = set(t.residual_vertices(node))
                 sub = induced_subgraph(g, residual)
-                return replay_removals(sub, node.removed)
+                return replay_removals(g, sub, node.removed)
 
             assert rebuild(t.root) == g
 
     def test_json_shape(self):
         doc = decompose(prism_graph()).to_json()
-        assert doc["format"] == "tricolor.tree/4"
+        assert doc["format"] == "tricolor.tree/5"
         assert doc["nodes"][0]["kind"] == "basic"
         assert doc["nodes"][0]["branch"] == "line_of_sparse"
 

@@ -85,35 +85,40 @@ class TestInducedSubgraph:
 class TestPeel:
     def test_tree_peels_away(self):
         tree = build_graph([(0, 1), (1, 2), (1, 3), (3, 4)], 5)
-        residual, log = peel_low_degree(tree)
+        residual, order = peel_low_degree(tree)
         assert residual.n == 0
-        assert len(log) == 5
+        assert len(order) == 5
 
     def test_prism_untouched(self):
-        residual, log = peel_low_degree(prism_graph())
+        residual, order = peel_low_degree(prism_graph())
         assert residual == prism_graph()
-        assert len(log) == 0
+        assert order == ()
 
     def test_c5_with_pendant(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)], 6)
-        residual, log = peel_low_degree(g)
+        residual, order = peel_low_degree(g)
         assert residual.n == 0
-        assert len(log) == 6
+        assert len(order) == 6
         # Lowest eligible id first: 1 goes before 0 becomes eligible.
-        assert log.removed_vertices() == (1, 0, 2, 3, 4, 5)
+        assert order == (1, 0, 2, 3, 4, 5)
 
     def test_neighbors_recorded_at_removal_time(self):
+        # The order alone records them: a vertex's neighbours at removal
+        # time are its neighbours in g not removed before it.
         g = path_graph(3)
-        _, log = peel_low_degree(g)
-        assert log.entries[0] == (0, (1,))
-        assert log.entries[1] == (1, (2,))
-        assert log.entries[2] == (2, ())
+        _, order = peel_low_degree(g)
+        assert order == (0, 1, 2)
+        at_removal = [
+            tuple(u for u in g.neighbors(v) if u not in order[:i])
+            for i, v in enumerate(order)
+        ]
+        assert at_removal == [(1,), (2,), ()]
 
     @given(graphs())
     @settings(max_examples=60)
     def test_replay_reconstructs(self, g):
-        residual, log = peel_low_degree(g)
-        assert replay_removals(residual, log) == g
+        residual, order = peel_low_degree(g)
+        assert replay_removals(g, residual, order) == g
 
     @given(graphs())
     @settings(max_examples=60)
@@ -145,10 +150,10 @@ class TestPeel:
             if hub:
                 edges += [(0, v) for v in rng.sample(range(1, n), rng.randrange(20, n))]
             g = build_graph(edges, n)
-            residual, log = peel_low_degree(g)
-            kept, entries = reference_peel(g)
+            residual, order = peel_low_degree(g)
+            kept, reference_order = reference_peel(g)
             assert residual == induced_subgraph(g, kept)
-            assert list(log.entries) == entries
+            assert order == reference_order
             if hub:
                 hub_peeled += 0 not in kept
                 hub_kept += 0 in kept

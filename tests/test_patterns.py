@@ -110,10 +110,11 @@ class TestFindIsk4:
     def test_bounded_mode_finds_planted_pattern(self):
         sub = subdivide(complete_graph(4))
         edges = list(sub.edges())
-        # Pad with pendants beyond any reasonable exact budget.
-        for v in range(10, 40):
-            edges.append((v - 10, v))
+        # Pad beyond the budget with a 30-cycle joined by one edge, which the
+        # 2-core keeps (pendants would be trimmed back to an exact search).
+        edges += [(v, v + 1) for v in range(10, 39)] + [(39, 10), (0, 10)]
         g = build_graph(edges, 40)
+        assert verify_membership(g, budget=12).mode == "bounded"
         result = find_isk4(g, budget=12)
         assert result != "unknown" and result is not None
         assert result.validate(g)
@@ -210,13 +211,14 @@ class TestMembership:
                 assert rep.witness.validate(g)
 
     def test_long_path_exact_without_deep_recursion(self):
-        # 400 vertices in exact mode: the subset search goes 400 levels deep,
-        # which must not depend on the interpreter's recursion limit.
-        g = build_graph([(i, i + 1) for i in range(399)], 400)
+        # A 200-cycle in exact mode (a path would have an empty 2-core): the
+        # subset search grows induced paths about 200 levels deep, which must not
+        # depend on the interpreter's recursion limit.
+        g = cycle_graph(200)
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(300)
+        sys.setrecursionlimit(150)
         try:
-            rep = verify_membership(g, budget=400)
+            rep = verify_membership(g, budget=200)
         finally:
             sys.setrecursionlimit(limit)
         assert rep.verdict == "member" and rep.mode == "exact"
