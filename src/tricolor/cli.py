@@ -7,7 +7,7 @@ extension and can be forced with ``--format``.
 
 Exit codes: 0 success, 1 negative verdict (non-member, invalid certificate,
 unclassified), 2 malformed input, 3 budget exceeded, 4 internal
-classification failure.
+classification failure, 141 stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_NEGATIVE = 1
 EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 BUDGET_ENV = "TRICOLOR_BUDGET"
 # Ten times the largest scale the scaling checks cover; build_graph allocates
@@ -329,7 +330,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.budget = env_budget
         elif args.command == "generate" and args.kind != "line":
             raise MalformedInputError(f"--budget applies to --kind line only, not {args.kind}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, under the handler below
+        return code
+    except BrokenPipeError:
+        # The reader left early (`| head`): send the flush at exit to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except MalformedInputError as exc:
         logger.error("malformed input: %s", exc)
         return EXIT_MALFORMED

@@ -541,10 +541,10 @@ def add_back_peeled(g: Graph, coloring: VertexColoring,
                     order: Sequence[int]) -> VertexColoring:
     """Replay a peel in reverse, giving each vertex the least free color.
 
-    ``order`` is the removal order of a peel of an induced subgraph of g,
-    and ``coloring`` covers that peel's residual and nothing else of g.  The
-    colored neighbours of each replayed vertex are then exactly its
-    neighbours when it was removed, at most two, so a color is free.
+    ``order`` is the removal order of a peel of g itself, and ``coloring``
+    covers that peel's residual.  The colored neighbours of each replayed
+    vertex in g are then exactly its neighbours when it was removed, at
+    most two, so a color is free.
     """
     work = dict(coloring.colors)
     for v in reversed(order):

@@ -156,32 +156,39 @@ def json_int(value: object, what: str) -> int:
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on vertex set ``s``; original ids are preserved."""
+    """Induced subgraph on vertex set ``s``; original ids are preserved.
+
+    Each kept vertex scans the shorter of its neighbour list and the kept set.
+    """
     keep = set(s)
-    for v in keep:
-        if not g.has_vertex(v):
-            raise MalformedInputError(f"vertex {v} not in graph")
+    kept = sorted(keep)
     adj: Dict[int, Tuple[int, ...]] = {}
     deg_sum = 0
-    for v in keep:
-        ns = tuple(u for u in g.neighbors(v) if u in keep)
+    for v in kept:
+        if not g.has_vertex(v):
+            raise MalformedInputError(f"vertex {v} not in graph")
+        ns = g.neighbors(v)
+        if len(ns) <= len(kept):
+            ns = tuple(u for u in ns if u in keep)
+        else:
+            ns = tuple(u for u in kept if _sorted_contains(ns, u))
         adj[v] = ns
         deg_sum += len(ns)
     return Graph(adj, deg_sum // 2)
 
 
-def peel_low_degree(g: Graph) -> Tuple[Graph, Tuple[int, ...]]:
-    """Remove vertices of degree <= ``PEEL_DEGREE`` until none remain.
+def peel_low_degree(g: Graph, bound: int = PEEL_DEGREE) -> Tuple[Graph, Tuple[int, ...]]:
+    """Remove vertices of degree <= ``bound`` until none remain.
 
-    Returns the residual and the removal order.  The lowest eligible id goes
-    first, so the order is deterministic.  A vertex's neighbours at removal
-    time are its neighbours in ``g`` outside the vertices removed before it,
-    which is all the reverse color-replay needs.  Degrees only fall, so a
-    vertex enters the heap once: at the start or when its degree first drops
-    to the bound.
+    Returns the residual and the removal order; with bound 1 the residual
+    is the 2-core.  The lowest eligible id goes first, so the order is
+    deterministic.  A vertex's neighbours at removal time are its
+    neighbours in ``g`` outside the vertices removed before it, which is all
+    the reverse color-replay needs.  Degrees only fall, so a vertex enters
+    the heap once: at the start or when its degree first drops to the bound.
     """
     deg = {v: g.degree(v) for v in g.vertices}
-    heap = [v for v in g.vertices if deg[v] <= PEEL_DEGREE]
+    heap = [v for v in g.vertices if deg[v] <= bound]
     heapq.heapify(heap)
     removed: Dict[int, None] = {}  # keys in removal order
     while heap:
@@ -190,7 +197,7 @@ def peel_low_degree(g: Graph) -> Tuple[Graph, Tuple[int, ...]]:
         for u in g.neighbors(v):
             if u not in removed:
                 deg[u] -= 1
-                if deg[u] == PEEL_DEGREE:
+                if deg[u] == bound:
                     heapq.heappush(heap, u)
     residual = induced_subgraph(g, (v for v in g.vertices if v not in removed))
     return residual, tuple(removed)

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, peel_low_degree
 
 __all__ = [
     "PatternWitness",
@@ -243,18 +243,6 @@ def _search(g: Graph, order: Sequence[int],
     return None, False
 
 
-def _two_core(g: Graph) -> Graph:
-    """What is left of g after repeatedly deleting vertices of degree <= 1."""
-    deg = {v: g.degree(v) for v in g.vertices}
-    stack = [v for v in g.vertices if deg[v] <= 1]
-    while stack:
-        for u in g.neighbors(stack.pop()):
-            deg[u] -= 1
-            if deg[u] == 1:  # once per vertex: degrees only fall
-                stack.append(u)
-    return induced_subgraph(g, (v for v in g.vertices if deg[v] > 1))
-
-
 def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
     """Search the 2-core of g for an induced subdivision of K4.
 
@@ -266,7 +254,7 @@ def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
     ``BOUNDED_MAX_STEPS`` steps, and without a witness the result is the
     string ``"unknown"``.  K4 itself counts (the trivial subdivision).
     """
-    core = _two_core(g)
+    core = peel_low_degree(g, 1)[0]
     exact = core.n <= budget
     order = list(core.vertices)
     if not exact:
@@ -296,7 +284,7 @@ def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Membershi
     w = find_bowtie(g)
     if w is not None:
         return MembershipReport(VERDICT_NONMEMBER, w, mode="exact", budget=budget)
-    core = _two_core(g)
+    core = peel_low_degree(g, 1)[0]
     exact = core.n <= budget
     result = find_isk4(core, budget=budget)  # core's 2-core is core: same mode
     if isinstance(result, PatternWitness):

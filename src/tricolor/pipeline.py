@@ -63,10 +63,10 @@ TREE_FORMAT = "tricolor.tree/5"
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One node of the decomposition tree: an induced subgraph of the input.
+    """One node of the decomposition tree: ``graph``, an induced subgraph of the input.
 
-    ``removed`` lists the vertices of this node's degree-<=2 peel in removal
-    order; replay reads their neighbours off the input graph.  ``cutset`` is
+    ``removed`` lists the vertices of the degree-<=2 peel of ``graph`` in
+    removal order; the fold reads this node's graph alone.  ``cutset`` is
     the empty tuple for a component split, the vertices in two or more
     children of a ``blocks`` or ``atoms`` node, the pair of a proper
     2-cutset, and None at leaves.  The children of a ``blocks`` (``atoms``)
@@ -80,7 +80,7 @@ class TreeNode:
 
     node_id: int
     layer: int
-    vertices: Tuple[int, ...]
+    graph: Graph
     removed: Tuple[int, ...]
     cutset: Optional[Tuple[int, ...]]
     children: Tuple[int, ...]
@@ -90,7 +90,6 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class DecompositionTree:
-    graph: Graph
     nodes: Tuple[TreeNode, ...]
     layers: int
 
@@ -100,19 +99,19 @@ class DecompositionTree:
 
     def residual_vertices(self, node: TreeNode) -> Tuple[int, ...]:
         removed = set(node.removed)
-        return tuple(v for v in node.vertices if v not in removed)
+        return tuple(v for v in node.graph.vertices if v not in removed)
 
     def to_json(self) -> Dict:
         return {
             "format": TREE_FORMAT,
-            "n": self.graph.n,
-            "m": self.graph.m,
+            "n": self.root.graph.n,
+            "m": self.root.graph.m,
             "layers": self.layers,
             "nodes": [
                 {
                     "id": nd.node_id,
                     "layer": nd.layer,
-                    "vertices": list(nd.vertices),
+                    "vertices": list(nd.graph.vertices),
                     "removed": list(nd.removed),
                     "cutset": list(nd.cutset) if nd.cutset is not None else None,
                     "children": list(nd.children),
@@ -160,10 +159,10 @@ def decompose(g: Graph) -> DecompositionTree:
     read off one MCS-M pass.  What remains is classified: in the
     proper-2-cutset branch the node keeps the minimal small side and its
     child is the other side plus the pair, any other verdict makes a leaf.
-    No residual is tested for a branch twice.  Children sit one layer deeper
-    and get larger ids than their parent.  Fully peeled leaves are kept: the
-    color replay needs their removal orders.  The walk uses an explicit
-    stack, so its depth does not grow with n.
+    No residual is tested for a branch twice.  The root's graph is g itself,
+    and children sit one layer deeper and get larger ids than their parent.
+    Fully peeled leaves are kept: the replay needs their removal orders.
+    The walk uses an explicit stack, so its depth does not grow with n.
     """
     nodes: List[Optional[TreeNode]] = []
     stack: List[Tuple[Graph, int, int]] = []
@@ -182,11 +181,9 @@ def decompose(g: Graph) -> DecompositionTree:
         child_ids = tuple(
             open_node(induced_subgraph(residual, part), layer + 1) for part in parts
         )
-        nodes[node_id] = TreeNode(
-            node_id, layer, sub.vertices, order, cutset, child_ids, kind, verdict
-        )
+        nodes[node_id] = TreeNode(node_id, layer, sub, order, cutset, child_ids, kind, verdict)
     layers = max(nd.layer for nd in nodes)
-    return DecompositionTree(g, tuple(nodes), layers)
+    return DecompositionTree(tuple(nodes), layers)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +249,15 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
     """Fold the tree bottom-up; returns the coloring and the fallback count.
 
     Children have larger ids than their parent, so reversed id order visits
-    every child before its parent.
+    every child before its parent.  Each node is folded on its own graph.
     """
-    g = tree.graph
     fallbacks = 0
     folded: Dict[int, VertexColoring] = {}
     for node in reversed(tree.nodes):
         if node.kind == "empty":
             residual_coloring = VertexColoring({}, 3)
         elif node.kind == "basic":
-            leaf = induced_subgraph(g, tree.residual_vertices(node))
+            leaf = induced_subgraph(node.graph, tree.residual_vertices(node))
             if node.verdict.branch not in (BRANCH_COMPLETE_BIPARTITE, BRANCH_LINE_OF_SPARSE):
                 raise PipelineError(
                     f"basic leaf fits no structure branch (verdict: {node.verdict.branch})",
@@ -271,7 +267,7 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
         elif node.kind == "proper_2_cutset":
             cs = node.verdict.cutset
             a, b = cs.pair
-            dual = dual_colorings_for_side(induced_subgraph(g, cs.side_x + cs.pair), a, b)
+            dual = dual_colorings_for_side(induced_subgraph(node.graph, cs.side_x + cs.pair), a, b)
             if dual.route == ROUTE_FALLBACK:
                 fallbacks += 1
             (child_id,) = node.children
@@ -280,8 +276,8 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
             # components, blocks or atoms: children in order, each aligned
             # where it meets the earlier ones.
             pieces = [folded.pop(child_id) for child_id in node.children]
-            residual_coloring = merge_at_clique(g, pieces)
-        folded[node.node_id] = add_back_peeled(g, residual_coloring, node.removed)
+            residual_coloring = merge_at_clique(node.graph, pieces)
+        folded[node.node_id] = add_back_peeled(node.graph, residual_coloring, node.removed)
     return folded[tree.root.node_id], fallbacks
 
 

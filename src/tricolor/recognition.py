@@ -169,9 +169,9 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
     vertex lies in three of those cliques.  H gets one vertex per clique
     plus a pendant vertex for every g-vertex covered only once, and one edge
     per g-vertex.  Returns None unless g is nonempty and connected and H
-    comes out sparse.
+    comes out sparse; a maximum degree above 4 rules out a subcubic H first.
     """
-    if g.n == 0 or not is_connected(g):
+    if g.n == 0 or g.max_degree() > 4 or not is_connected(g):
         return None
     if g.n == 1:
         # An isolated vertex is the line graph of a single edge.

@@ -175,3 +175,21 @@ def bridged_cubic() -> Graph:
         a, b, c, d, mid = base, base + 1, base + 2, base + 3, base + 4
         edges += [(a, c), (a, d), (b, c), (b, d), (c, d), (a, mid), (mid, b)]
     return build_graph(edges + [(4, 9)], 10)
+
+
+def flower(k: int) -> Graph:
+    """k copies of K3,3, each with one edge subdivided by the shared vertex 0.
+
+    Copy i has sides {b, b+1, b+2} and {b+3, b+4, b+5}, b = 6i + 1, and its
+    edge b-(b+3) is replaced by the path b-0-(b+3): n = 6k + 1, and vertex 0
+    has degree 2k and lies in all k blocks.  Not a member (a copy without
+    vertex 0 is K3,3 minus an edge, an induced K4 subdivision), but every
+    block peels away completely, so the pipeline colors it.
+    """
+    edges = []
+    for i in range(k):
+        b = 6 * i + 1
+        edges += [(a, c) for a in range(b, b + 3) for c in range(b + 3, b + 6)
+                  if (a, c) != (b, b + 3)]
+        edges += [(b, 0), (0, b + 3)]
+    return build_graph(edges, 6 * k + 1)

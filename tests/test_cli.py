@@ -1,5 +1,9 @@
+import errno
+import io
 import json
+import os
 import random
+import sys
 from importlib import resources
 
 import jsonschema
@@ -17,6 +21,7 @@ from common import (
 )
 from tricolor import PatternWitness
 from tricolor.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_INTERNAL,
     EXIT_MALFORMED,
@@ -368,6 +373,31 @@ class TestCommands:
         assert capsys.readouterr().out == ""
         assert "--budget must be non-negative, got -3" in caplog.text
         assert "TRICOLOR_BUDGET must be non-negative, got -2" in caplog.text
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_closed_stdout_exits_quietly(self, method, tmp_path, capsys, monkeypatch):
+        # As in `tricolor decompose g.col | head -1`: the reader is gone.  A
+        # large output meets the closed pipe on write, a small one on flush.
+        gfile = write_graph_file(tmp_path, prism_graph())
+        read_end, write_end = os.pipe()
+
+        class ClosedPipe(io.StringIO):
+            def fileno(self):
+                return write_end
+
+        def broken(self, *args):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        setattr(ClosedPipe, method, broken)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["decompose", gfile]) == EXIT_BROKEN_PIPE
+            # The descriptor now points at devnull, so a flush at exit succeeds.
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert capsys.readouterr().err == ""
 
 
 class TestExitCodeFuzz:

@@ -180,7 +180,7 @@ class TestBuildCliqueTree:
         assert t.root.verdict.cutset.side_x == (1, 2, 4, 5)
         (child_id,) = t.root.children
         child = t.nodes[child_id]
-        assert child.vertices == (0, 3, 6, 7, 8, 9, 10, 11)
+        assert child.graph.vertices == (0, 3, 6, 7, 8, 9, 10, 11)
         assert child.removed == (0, 3)
         assert child.kind == "basic" and child.verdict.branch == "line_of_sparse"
         assert child.layer == 2 and t.layers == 2
@@ -189,7 +189,7 @@ class TestBuildCliqueTree:
         g = k33_line_chain(5)
         t = decompose(g)
         assert t.root.kind == "blocks" and t.layers == 2
-        assert [t.nodes[c].vertices[0] for c in t.root.children] == [0, 5, 16, 21, 32]
+        assert [t.nodes[c].graph.vertices[0] for c in t.root.children] == [0, 5, 16, 21, 32]
         assert [t.nodes[c].verdict.branch for c in t.root.children] == [
             "complete_bipartite", "line_of_sparse"] * 2 + ["complete_bipartite"]
 
@@ -221,7 +221,7 @@ class TestBuildCliqueTree:
                 if not node.children:
                     continue
                 residual = set(t.residual_vertices(node))
-                child_sets = [set(t.nodes[c].vertices) for c in node.children]
+                child_sets = [set(t.nodes[c].graph.vertices) for c in node.children]
                 if node.kind == "proper_2_cutset":
                     # One child: the residual minus the small side.
                     cs = node.verdict.cutset
@@ -276,9 +276,12 @@ class TestBuildCliqueTree:
                 if not node.children:
                     residual = set(t.residual_vertices(node))
                 sub = induced_subgraph(g, residual)
-                return replay_removals(g, sub, node.removed)
+                rebuilt = replay_removals(g, sub, node.removed)
+                assert rebuilt == node.graph
+                return rebuilt
 
             assert rebuild(t.root) == g
+            assert t.root.graph is g
 
     def test_json_shape(self):
         doc = decompose(prism_graph()).to_json()

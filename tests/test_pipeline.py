@@ -10,12 +10,14 @@ from common import (
     k33_line_chain,
     complete_graph,
     cycle_graph,
+    flower,
     order7_on_prism,
     order7_with_k33_side,
     petersen_graph,
     prism_graph,
 )
 from tricolor import (
+    Graph,
     PipelineError,
     build_graph,
     classify_basic,
@@ -126,6 +128,36 @@ class TestColorClassMember:
             cmd_color(args)
         assert err.value.payload["verdict"] == "nonmember"
         assert err.value.payload["witness"]["kind"] == "bowtie"
+
+
+class TestHighDegreeCutVertex:
+    """The flower's vertex 0 has degree 2k and lies in all k blocks."""
+
+    @staticmethod
+    def _neighbour_entries_iterated(monkeypatch, g):
+        count = [0]
+
+        class Counted(tuple):
+            def __iter__(self):
+                count[0] += len(self)
+                return super().__iter__()
+
+        plain = Graph.neighbors
+        monkeypatch.setattr(Graph, "neighbors", lambda self, v: Counted(plain(self, v)))
+        pipeline._color_graph(pipeline.decompose(g))
+        monkeypatch.undo()
+        return count[0]
+
+    def test_decompose_and_fold_read_linear_work(self, monkeypatch):
+        # Reading vertex 0's whole list once per block would grow 16-fold.
+        small = self._neighbour_entries_iterated(monkeypatch, flower(250))
+        big = self._neighbour_entries_iterated(monkeypatch, flower(1000))
+        assert big <= 4.5 * small
+
+    def test_large_flower_colors(self):
+        g = flower(8000)
+        assert g.n == 48001
+        assert verify_certificate(g, color_class_member(g))
 
 
 class TestClassifyBeforeCutsetSearch:

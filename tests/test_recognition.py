@@ -5,12 +5,14 @@ from common import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    flower,
     path_graph,
     petersen_graph,
     prism_graph,
 )
 from conftest import random_graph
 from tricolor import (
+    Graph,
     build_graph,
     classify_basic,
     find_clique_cutset,
@@ -135,6 +137,24 @@ class TestRootReconstruction:
     def test_k4_rejected_for_degree(self):
         # K4 = L(star on four leaves), whose hub exceeds degree three.
         assert reconstruct_line_graph_root(complete_graph(4)) is None
+
+    def test_high_degree_rejected_in_linear_work(self, monkeypatch):
+        # Listing common neighbours at the flower's vertex 0, of degree 2k,
+        # would make about 4k^2 has_edge calls.
+        def has_edge_calls(g):
+            count = [0]
+            plain = Graph.has_edge
+
+            def counted(self, u, v):
+                count[0] += 1
+                return plain(self, u, v)
+
+            monkeypatch.setattr(Graph, "has_edge", counted)
+            assert reconstruct_line_graph_root(g) is None
+            monkeypatch.undo()
+            return count[0]
+
+        assert has_edge_calls(flower(1000)) <= 4.5 * has_edge_calls(flower(250))
 
     def test_diamond_precondition(self):
         # Diamond, disconnected and empty inputs have no root: None, not an error.
