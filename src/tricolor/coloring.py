@@ -223,31 +223,39 @@ def edge_color_sparse(h: Graph) -> EdgeColoring:
     vertices of degree <= 2, so at most two colored edges touch it and a
     color is always free.  Always succeeds on this class; any other graph
     fails :func:`~tricolor.recognition.is_sparse_subcubic` and is refused.
+    Each vertex keeps the set of colors on its edges: a paint adds to both
+    ends, and a swap recomputes the sets of its component's vertices.
     """
     if not is_sparse_subcubic(h):
         raise ContractViolationError("edge coloring requires a sparse subcubic graph")
     colors: Dict[Tuple[int, int], int] = {}
+    used: Dict[int, Set[int]] = {v: set() for v in h.vertices}
 
-    def free(v: int) -> List[int]:
-        taken = {colors.get(_ekey(v, x)) for x in h.neighbors(v)}
-        return [c for c in PALETTE if c not in taken]
+    def paint(u: int, w: int, c: int) -> None:
+        colors[_ekey(u, w)] = c
+        used[u].add(c)
+        used[w].add(c)
 
     for u in h.vertices:
         if h.degree(u) != 3:
             continue
         for w in h.neighbors(u):
-            free_u, free_w = free(u), free(w)
-            common = [c for c in free_u if c in free_w]
+            used_u, used_w = used[u], used[w]
+            common = [c for c in PALETTE if c not in used_u and c not in used_w]
             if not common:
-                alpha, beta = free_u[0], free_w[0]
+                alpha = next(c for c in PALETTE if c not in used_u)
+                beta = next(c for c in PALETTE if c not in used_w)
                 start = next(_ekey(w, x) for x in h.neighbors(w)
                              if colors.get(_ekey(w, x)) == alpha)
-                _swap(colors, _color_component(h, colors, start, (alpha, beta)), (alpha, beta))
+                comp = _color_component(h, colors, start, (alpha, beta))
+                _swap(colors, comp, (alpha, beta))
+                for x in {x for e in comp for x in e}:
+                    used[x] = {colors.get(_ekey(x, y)) for y in h.neighbors(x)} - {None}
                 common = [alpha]
-            colors[_ekey(u, w)] = common[0]
+            paint(u, w, common[0])
     for u, w in h.edges():
         if (u, w) not in colors:
-            colors[(u, w)] = min(set(free(u)) & set(free(w)))
+            paint(u, w, next(c for c in PALETTE if c not in used[u] and c not in used[w]))
     coloring = EdgeColoring(colors)
     if not coloring.is_proper(h):
         raise ContractViolationError("edge coloring postcondition failed")

@@ -159,8 +159,11 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Induced subgraph on vertex set ``s``; original ids are preserved.
 
     Each kept vertex scans the shorter of its neighbour list and the kept set.
+    A Graph is immutable, so the whole vertex set gives back g itself.
     """
     keep = set(s)
+    if len(keep) == g.n and keep.issuperset(g.vertices):
+        return g
     kept = sorted(keep)
     adj: Dict[int, Tuple[int, ...]] = {}
     deg_sum = 0

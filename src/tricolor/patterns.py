@@ -255,7 +255,11 @@ def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
     string ``"unknown"``.  K4 itself counts (the trivial subdivision).
     """
     core = peel_low_degree(g, 1)[0]
-    exact = core.n <= budget
+    return _find_isk4_in_core(core, core.n <= budget)
+
+
+def _find_isk4_in_core(core: Graph, exact: bool):
+    """:func:`find_isk4` on a graph that is its own 2-core, in the given mode."""
     order = list(core.vertices)
     if not exact:
         random.Random(0).shuffle(order)
@@ -268,7 +272,7 @@ def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
                 f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={core.n}"
             )
         return None
-    corners, paths = _corner_paths(induced_subgraph(g, found))
+    corners, paths = _corner_paths(induced_subgraph(core, found))
     return PatternWitness("isk4", found, corners, paths)
 
 
@@ -286,7 +290,7 @@ def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Membershi
         return MembershipReport(VERDICT_NONMEMBER, w, mode="exact", budget=budget)
     core = peel_low_degree(g, 1)[0]
     exact = core.n <= budget
-    result = find_isk4(core, budget=budget)  # core's 2-core is core: same mode
+    result = _find_isk4_in_core(core, exact)
     if isinstance(result, PatternWitness):
         return MembershipReport(
             VERDICT_NONMEMBER, result, mode="exact" if exact else "bounded", budget=budget

@@ -315,7 +315,7 @@ def color_class_member(g: Graph, jobs: int = 1) -> ColoringCertificate:
         coloring=coloring,
         palette=coloring.palette_size(),
         leaf_verdicts=tuple(
-            {"size": len(tree.residual_vertices(nd)), "branch": nd.verdict.branch}
+            {"size": nd.graph.n - len(nd.removed), "branch": nd.verdict.branch}
             for nd in tree.nodes if nd.verdict is not None
         ),
         fallback_count=fallbacks,

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cutsets import Proper2Cutset, find_proper_2_cutset
-from .graph import Graph, is_connected
+from .graph import Graph, build_graph, is_connected
 
 __all__ = [
     "BasicVerdict",
@@ -175,36 +175,36 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
         return None
     if g.n == 1:
         # An isolated vertex is the line graph of a single edge.
-        only = g.vertices[0]
-        h = Graph.from_adjacency({0: [1], 1: [0]})
-        return RootGraph(h, {only: (0, 1)})
+        return RootGraph(build_graph([(0, 1)], 2), {g.vertices[0]: (0, 1)})
     cliques: Set[Tuple[int, ...]] = set()
-    for u, v in g.edges():
-        common = [w for w in g.neighbors(u) if g.has_edge(v, w)]
-        if len(common) > 1:
-            return None
-        cliques.add(tuple(sorted([u, v, *common])))
+    for u in g.vertices:
+        # Neighbour tuples hold at most four ids, so ``in`` beats a bisect.
+        nu = g.neighbors(u)
+        for v in nu:
+            if v > u:
+                nv = g.neighbors(v)
+                common = [w for w in nu if w in nv]
+                if len(common) > 1:
+                    return None
+                cliques.add(tuple(sorted([u, v, *common])))
     covering: Dict[int, List[int]] = {v: [] for v in g.vertices}
     for idx, clique in enumerate(sorted(cliques)):
         for v in clique:
             covering[v].append(idx)
     if any(len(idxs) > 2 for idxs in covering.values()):
         return None
-    adj: Dict[int, Set[int]] = {i: set() for i in range(len(cliques))}
     vertex_to_edge: Dict[int, Tuple[int, int]] = {}
     next_id = len(cliques)
     for v in g.vertices:
+        # Clique ids are listed ascending and pendant ids come after them all,
+        # so every pair below is already (smaller, larger).
         idxs = covering[v]
         if len(idxs) == 2:
-            a, b = idxs
+            vertex_to_edge[v] = (idxs[0], idxs[1])
         else:
-            a, b = idxs[0], next_id
-            adj[next_id] = set()
+            vertex_to_edge[v] = (idxs[0], next_id)
             next_id += 1
-        adj[a].add(b)
-        adj[b].add(a)
-        vertex_to_edge[v] = (min(a, b), max(a, b))
-    root = RootGraph(Graph.from_adjacency(adj), vertex_to_edge)
+    root = RootGraph(build_graph(vertex_to_edge.values(), next_id), vertex_to_edge)
     if not root.is_sparse():
         return None
     if not root.validate(g):

@@ -166,6 +166,51 @@ def edge_coloring_search(
     return None
 
 
+def edge_color_sparse_reference(h: Graph) -> Dict[Tuple[int, int], int]:
+    """The two-pass sparse edge coloring, recomputing free colors edge by edge.
+
+    Same choices as :func:`tricolor.edge_color_sparse`: hub edges in id
+    order, each the least color free at both ends or else alpha after an
+    alpha/beta swap on the two-colored path from the non-hub end, then
+    every other edge greedily.  The input must be sparse and subcubic.
+    """
+    colors: Dict[Tuple[int, int], int] = {}
+
+    def key(u: int, v: int) -> Tuple[int, int]:
+        return (u, v) if u < v else (v, u)
+
+    def free(v: int) -> List[int]:
+        taken = {colors.get(key(v, x)) for x in h.neighbors(v)}
+        return [c for c in (0, 1, 2) if c not in taken]
+
+    for u in h.vertices:
+        if h.degree(u) != 3:
+            continue
+        for w in h.neighbors(u):
+            free_u, free_w = free(u), free(w)
+            common = [c for c in free_u if c in free_w]
+            if not common:
+                alpha, beta = free_u[0], free_w[0]
+                start = next(key(w, x) for x in h.neighbors(w)
+                             if colors.get(key(w, x)) == alpha)
+                comp, stack = {start}, [start]
+                while stack:
+                    for x in stack.pop():
+                        for y in h.neighbors(x):
+                            e = key(x, y)
+                            if e not in comp and colors.get(e) in (alpha, beta):
+                                comp.add(e)
+                                stack.append(e)
+                for e in comp:
+                    colors[e] = beta if colors[e] == alpha else alpha
+                common = [alpha]
+            colors[key(u, w)] = common[0]
+    for u, w in h.edges():
+        if (u, w) not in colors:
+            colors[(u, w)] = min(set(free(u)) & set(free(w)))
+    return colors
+
+
 def brute_chromatic(g: Graph) -> int:
     """Chromatic number by increasing-k backtracking on vertices."""
     if g.n == 0:

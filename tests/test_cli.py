@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from importlib import resources
 
@@ -19,6 +20,7 @@ from common import (
     path_graph,
     prism_graph,
 )
+import tricolor
 from tricolor import PatternWitness
 from tricolor.cli import (
     EXIT_BROKEN_PIPE,
@@ -398,6 +400,21 @@ class TestCommands:
             os.close(read_end)
             os.close(write_end)
         assert capsys.readouterr().err == ""
+
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path):
+        # As in `tricolor chi g.col 2>&1 >/dev/null | true`: the budget error
+        # goes to a stderr whose reader has gone before the run starts.
+        gfile = write_graph_file(tmp_path, cycle_graph(25))
+        src = os.path.dirname(os.path.dirname(tricolor.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tricolor.cli", "chi", gfile],
+                                  stdout=subprocess.DEVNULL, stderr=write_end, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BUDGET
 
 
 class TestExitCodeFuzz:

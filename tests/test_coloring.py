@@ -183,7 +183,26 @@ class TestEdgeColorSparse:
             h = bg(edges, nxt) if edges else bg([], n)
             ec = edge_color_sparse(h)
             assert ec.is_proper(h)
+            assert ec.colors == oracles.edge_color_sparse_reference(h)
             checked += 1
+
+    def test_matches_reference_on_line_roots(self, monkeypatch):
+        from tricolor import coloring, random_cubic_graph, reconstruct_line_graph_root
+
+        swaps = []
+        plain = coloring._swap
+
+        def counted(*args):
+            swaps.append(args)
+            plain(*args)
+
+        monkeypatch.setattr(coloring, "_swap", counted)
+        for seed in range(20):
+            g = line_graph(subdivide(random_cubic_graph(seed, 8 + 2 * seed)))
+            h = reconstruct_line_graph_root(g).h
+            assert edge_color_sparse(h).colors == oracles.edge_color_sparse_reference(h)
+        # The swap branch ran, so the colour sets were refreshed after it.
+        assert swaps
 
 
 class TestDualEdgeColorings:

@@ -81,6 +81,21 @@ class TestInducedSubgraph:
     def test_full_set_is_identity(self, g):
         assert induced_subgraph(g, g.vertices) == g
 
+    def test_full_set_returns_the_same_object(self):
+        g = prism_graph()
+        assert induced_subgraph(g, g.vertices) is g
+        assert induced_subgraph(g, reversed(g.vertices)) is g
+
+    def test_proper_subset_builds_a_new_graph(self):
+        g = prism_graph()
+        sub = induced_subgraph(g, g.vertices[1:])
+        assert sub is not g and sub.vertices == g.vertices[1:]
+
+    def test_foreign_id_rejected_when_the_count_matches(self):
+        g = prism_graph()
+        with pytest.raises(MalformedInputError):
+            induced_subgraph(g, (*g.vertices[:-1], 99))
+
 
 class TestPeel:
     def test_tree_peels_away(self):

@@ -24,6 +24,7 @@ from tricolor import (
     subdivide,
     verify_membership,
 )
+from tricolor import patterns
 from tricolor.patterns import is_k4_subdivision
 
 
@@ -183,6 +184,19 @@ class TestMembership:
         g = subdivide(complete_graph(4))
         rep = verify_membership(g)
         assert rep.verdict == "nonmember" and rep.witness.kind == "isk4"
+
+    def test_one_peel_per_query(self, monkeypatch):
+        calls = []
+        plain = patterns.peel_low_degree
+
+        def counted(*args):
+            calls.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(patterns, "peel_low_degree", counted)
+        rep = verify_membership(cycle_graph(30))
+        assert rep.verdict == "unknown" and rep.mode == "bounded"
+        assert len(calls) == 1
 
     def test_unknown_beyond_budget(self):
         rep = verify_membership(cycle_graph(30), budget=12)

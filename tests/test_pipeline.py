@@ -67,6 +67,24 @@ class TestColorClassMember:
         assert cert.fallback_count == 0
         assert verify_certificate(g, cert)
 
+    def test_basic_leaf_builds_no_copy_of_the_input(self, monkeypatch):
+        # Nothing peels and the input is one leaf, so neither the peel nor
+        # the fold needs a graph on all of g's vertices but g itself.
+        g = line_graph(subdivide(random_cubic_graph(3, 64)))
+        assert g.min_degree() == 3
+        sizes = []
+        plain = Graph.__init__
+
+        def counted(self, adj, m):
+            sizes.append(len(adj))
+            plain(self, adj, m)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        cert = color_class_member(g)
+        monkeypatch.undo()
+        assert cert.leaf_verdicts == ({"size": g.n, "branch": "line_of_sparse"},)
+        assert sizes.count(g.n) == 0
+
     def test_deterministic(self):
         g = gen_glue(4, [prism_graph(), cycle_graph(5)], "vertex")
         c1 = color_class_member(g)
