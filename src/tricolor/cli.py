@@ -48,7 +48,7 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 BUDGET_ENV = "TRICOLOR_BUDGET"
 # Ten times the largest scale the scaling checks cover; build_graph allocates
-# one adjacency set per vertex before reading any edge.
+# one adjacency list per vertex before reading any edge.
 MAX_VERTICES = 1_000_000
 
 logger = logging.getLogger(__name__)
@@ -71,29 +71,43 @@ def _check_vertex_count(n: int) -> None:
 
 
 def parse_dimacs(text: str) -> Graph:
+    """``p edge n m`` once, then ``e u v`` lines, ids 1..n; m need not match (often doubled)."""
     n = None
     edges: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split()
+        # The common case first: a well-formed edge line; any other e line is an error.
+        if len(fields) == 3 and fields[0] == "e" and n is not None:
+            try:
+                u, v = int(fields[1]), int(fields[2])
+                if 0 < u <= n and 0 < v <= n and u != v:
+                    edges.append((u - 1, v - 1))
+                    continue
+            except ValueError:
+                pass
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        fields = line.split()
         if fields[0] == "p":
+            if n is not None:
+                raise MalformedInputError(f"line {lineno}: second problem line {line!r}")
             if len(fields) < 4 or fields[1] not in ("edge", "edges", "col"):
                 raise MalformedInputError(f"line {lineno}: bad problem line {line!r}")
-            n = _int_field(fields[2], lineno, line)
+            n, _ = (_int_field(token, lineno, line) for token in fields[2:4])
+            _check_vertex_count(n)
         elif fields[0] == "e":
             if n is None:
                 raise MalformedInputError(f"line {lineno}: edge before problem line")
             if len(fields) != 3:
                 raise MalformedInputError(f"line {lineno}: bad edge line {line!r}")
-            edges.append((_int_field(fields[1], lineno, line) - 1,
-                          _int_field(fields[2], lineno, line) - 1))
+            ends = [_int_field(token, lineno, line) for token in fields[1:]]
+            why = next((f"vertex {x} out of range [1,{n}]" for x in ends if not 0 < x <= n),
+                       f"self-loop at vertex {ends[0]}")
+            raise MalformedInputError(f"line {lineno}: {why} in {line!r}")
         else:
             raise MalformedInputError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
         raise MalformedInputError("missing problem line")
-    _check_vertex_count(n)
     return build_graph(edges, n)
 
 

@@ -70,14 +70,17 @@ class VertexColoring:
         return len(set(self.colors.values()))
 
     def is_proper(self, g: Graph) -> bool:
-        if set(self.colors) != set(g.vertices):
+        colors = self.colors
+        if colors.keys() != set(g.vertices) or not set(colors.values()) <= set(range(self.k)):
             return False
-        if any(c < 0 or c >= self.k for c in self.colors.values()):
-            return False
-        return all(self.colors[u] != self.colors[v] for u, v in g.edges())
+        for u in g.vertices:
+            for v in g.neighbors(u):
+                if v > u and colors[v] == colors[u]:
+                    return False
+        return True
 
     def to_json(self) -> Dict[str, int]:
-        return {str(v): c for v, c in sorted(self.colors.items())}
+        return {str(v): self.colors[v] for v in sorted(self.colors)}
 
 
 @dataclass(frozen=True)
@@ -555,10 +558,13 @@ def add_back_peeled(g: Graph, coloring: VertexColoring,
     most two, so a color is free.
     """
     work = dict(coloring.colors)
+    get = work.get
     for v in reversed(order):
-        taken = {work.get(u) for u in g.neighbors(v)}
-        free = [c for c in PALETTE if c not in taken]
-        if not free:
+        taken = tuple(map(get, g.neighbors(v)))
+        for c in PALETTE:
+            if c not in taken:
+                work[v] = c
+                break
+        else:
             raise ContractViolationError(f"no color free for replayed vertex {v}")
-        work[v] = free[0]
     return VertexColoring(work, 3)

@@ -10,9 +10,8 @@ neighbours a vertex had when it was removed are read back off the graph.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import json
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .errors import MalformedInputError
@@ -103,11 +102,11 @@ class Graph:
         return max((len(ns) for ns in self._adj.values()), default=0)
 
     def canonical_hash(self) -> str:
-        """SHA-256 over the sorted vertex and edge lists."""
-        payload = json.dumps(
-            {"vertices": list(self._vertices), "edges": list(self.edges())},
-            separators=(",", ":"),
-        )
+        """SHA-256 of ``json.dumps({"vertices": [...], "edges": [[u, v], ...]},
+        separators=(",", ":"))``, edges in ``edges()`` order; the text is written directly.
+        """
+        edges = ",".join([f"[{u},{v}]" for u in self._vertices for v in self._adj[u] if u < v])
+        payload = '{"vertices":[%s],"edges":[%s]}' % (",".join(map(str, self._vertices)), edges)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def __eq__(self, other: object) -> bool:
@@ -135,17 +134,16 @@ def build_graph(edge_list: Iterable[Tuple[int, int]], n: int) -> Graph:
     """
     if n < 0:
         raise MalformedInputError(f"negative vertex count {n}")
-    adj: Dict[int, Set[int]] = {v: set() for v in range(n)}
+    adj: List[List[int]] = [[] for _ in range(n)]
     for u, v in edge_list:
         if u == v:
             raise MalformedInputError(f"self-loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise MalformedInputError(f"edge ({u},{v}) out of range [0,{n})")
-        adj[u].add(v)
-        adj[v].add(u)
-    final = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-    m = sum(len(ns) for ns in final.values()) // 2
-    return Graph(final, m)
+        adj[u].append(v)
+        adj[v].append(u)
+    final = {v: tuple(sorted(set(ns))) for v, ns in enumerate(adj)}
+    return Graph(final, sum(map(len, final.values())) // 2)
 
 
 def json_int(value: object, what: str) -> int:
@@ -190,20 +188,22 @@ def peel_low_degree(g: Graph, bound: int = PEEL_DEGREE) -> Tuple[Graph, Tuple[in
     the reverse color-replay needs.  Degrees only fall, so a vertex enters
     the heap once: at the start or when its degree first drops to the bound.
     """
-    deg = {v: g.degree(v) for v in g.vertices}
-    heap = [v for v in g.vertices if deg[v] <= bound]
-    heapq.heapify(heap)
-    removed: Dict[int, None] = {}  # keys in removal order
+    adj = g._adj
+    deg = {v: len(ns) for v, ns in adj.items()}
+    heap = [v for v, d in deg.items() if d <= bound]
+    heapify(heap)
+    order: List[int] = []
     while heap:
-        v = heapq.heappop(heap)
-        removed[v] = None
-        for u in g.neighbors(v):
-            if u not in removed:
-                deg[u] -= 1
-                if deg[u] == bound:
-                    heapq.heappush(heap, u)
-    residual = induced_subgraph(g, (v for v in g.vertices if v not in removed))
-    return residual, tuple(removed)
+        v = heappop(heap)
+        order.append(v)
+        del deg[v]  # deg keeps the vertices not yet removed
+        for u in adj[v]:
+            if u in deg:
+                d = deg[u] - 1
+                deg[u] = d
+                if d == bound:
+                    heappush(heap, u)
+    return (induced_subgraph(g, deg) if deg else Graph({}, 0)), tuple(order)
 
 
 def connected_components(g: Graph, without: Iterable[int] = ()) -> List[Tuple[int, ...]]:

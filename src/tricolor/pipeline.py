@@ -227,9 +227,11 @@ class ColoringCertificate:
         raw = data["coloring"]
         if not isinstance(raw, dict):
             raise ValueError("certificate coloring must be a JSON object")
-        colors = {int(v): json_int(c, "certificate color") for v, c in raw.items()}
-        if len(colors) != len(raw):
-            raise ValueError("certificate coloring names a vertex twice")
+        vertices, values = list(map(int, raw)), list(raw.values())
+        if (list(map(str, vertices)) != list(raw) or min(vertices, default=0) < 0
+                or set(map(type, values)) - {int}):
+            raise ValueError("certificate coloring must map ids str(v), v >= 0, to integers")
+        colors = dict(zip(vertices, values))
         return cls(
             graph_hash=data["graph_hash"],
             n=json_int(data["n"], "certificate n"),

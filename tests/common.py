@@ -193,3 +193,22 @@ def flower(k: int) -> Graph:
                   if (a, c) != (b, b + 3)]
         edges += [(b, 0), (0, b + 3)]
     return build_graph(edges, 6 * k + 1)
+
+
+def necklace(seed: int, t: int) -> Graph:
+    """t copies of ``prism_minus_matching_edge`` sharing its apex pair, relabeled.
+
+    Each vertex of the pair lies in t triangles, so for t >= 2 a necklace
+    holds a bowtie and is no member; its residue splits at the pair, a
+    proper 2-cutset.
+    """
+    rng = random.Random(seed)
+    gadget = prism_minus_matching_edge()
+    n = 2 + 4 * t
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for i in range(t):
+        ids = {0: 0, 3: 1, 1: 2 + 4 * i, 2: 3 + 4 * i, 4: 4 + 4 * i, 5: 5 + 4 * i}
+        edges += [(label[ids[u]], label[ids[v]]) for u, v in gadget.edges()]
+    return build_graph(edges, n)

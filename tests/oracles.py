@@ -298,16 +298,16 @@ def replay_removals(g: Graph, residual: Graph, order: Sequence[int]) -> Graph:
     return Graph.from_adjacency(adj)
 
 
-def reference_peel(g: Graph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Degree-<=2 peel that recomputes the eligible set at every step.
+def reference_peel(g: Graph, bound: int = 2) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Degree-<=bound peel that recomputes the eligible set at every step.
 
-    Each step removes the least vertex with at most two neighbours left.
-    Returns the residual's vertices and the removal order.
+    Each step removes the least vertex with at most ``bound`` neighbours
+    left.  Returns the residual's vertices and the removal order.
     """
     alive = set(g.vertices)
     order: List[int] = []
     while True:
-        eligible = [v for v in alive if sum(u in alive for u in g.neighbors(v)) <= 2]
+        eligible = [v for v in alive if sum(u in alive for u in g.neighbors(v)) <= bound]
         if not eligible:
             return tuple(sorted(alive)), tuple(order)
         v = min(eligible)

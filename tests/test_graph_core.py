@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,8 @@ from tricolor import (
     is_connected,
     peel_low_degree,
 )
+
+PRISM_HASH = "58f9c1372a9af31e942d84f7e6d1b743807dc2ee774ddcdc693320fc9f7f88a2"
 
 
 class TestBuildGraph:
@@ -174,11 +178,45 @@ class TestPeel:
                 hub_kept += 0 in kept
         assert hub_peeled >= 20 and hub_kept >= 20
 
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_matches_reference_peel_on_gapped_ids(self, rng, bound):
+        # The peel runs on induced subgraphs, whose ids have gaps; a
+        # fully peeled graph gives back the empty graph.
+        emptied = 0
+        for _ in range(150):
+            n = rng.randrange(1, 40)
+            g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.35]))
+            g = induced_subgraph(g, rng.sample(g.vertices, rng.randrange(1, n + 1)))
+            residual, order = peel_low_degree(g, bound)
+            kept, reference_order = reference_peel(g, bound)
+            assert order == reference_order
+            expected = induced_subgraph(g, kept)
+            assert residual == expected and residual.m == expected.m
+            emptied += residual.n == 0
+        assert emptied >= 20
+
     def test_residual_min_degree(self, rng):
         for _ in range(20):
             g = random_graph(rng, rng.randrange(1, 12), 0.3)
             residual, _ = peel_low_degree(g)
             assert residual.n == 0 or residual.min_degree() >= 3
+
+
+class TestCanonicalHash:
+    def test_matches_documented_definition(self, rng):
+        for _ in range(40):
+            n = rng.randrange(0, 30)
+            g = random_graph(rng, n, rng.choice([0.0, 0.1, 0.3]))
+            if n and rng.random() < 0.5:
+                g = induced_subgraph(g, rng.sample(g.vertices, rng.randrange(1, n + 1)))
+            payload = json.dumps(
+                {"vertices": list(g.vertices), "edges": [[u, v] for u, v in g.edges()]},
+                separators=(",", ":"),
+            )
+            assert g.canonical_hash() == hashlib.sha256(payload.encode()).hexdigest()
+
+    def test_pinned_value(self):
+        assert prism_graph().canonical_hash() == PRISM_HASH
 
 
 class TestComponents:

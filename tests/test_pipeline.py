@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import sys
@@ -9,6 +10,7 @@ from common import (
     k33_edge_tree,
     k33_line_chain,
     complete_graph,
+    necklace,
     cycle_graph,
     flower,
     order7_on_prism,
@@ -463,3 +465,45 @@ class TestCertificate:
         doc["format"] = "tricolor.certificate/1"
         with pytest.raises(ValueError):
             ColoringCertificate.from_json(doc)
+
+
+class TestGoldenOutputs:
+    """Pinned SHA-256 of the certificate and the tree of one input per family.
+
+    Any change to the coloring, the decomposition, the graph hash or the JSON
+    layout shows here; a pure speed-up must leave every digest as it is.
+    """
+
+    CASES = {
+        "series_parallel": (
+            lambda: gen_series_parallel(11, 2000),
+            "4f5e0680017ab8f811f2ff244288dc959d40308df0d98c22b63a6ed8f7bebe92",
+            "576b44e71d3460c84c73f4f55f454d75b239ae7ab5913130859b07cacf596490",
+        ),
+        "line_of_subdivided_cubic": (
+            lambda: line_graph(subdivide(random_cubic_graph(11, 40))),
+            "637889efed997db1c1594c27efcb649905d044e908141a38cd51d7f4f3acc29f",
+            "385feb1b8c3292dc0561f51b6638a5cbd24c9f42868ba5d2af92dfb5b205a961",
+        ),
+        "k33_line_chain": (
+            lambda: k33_line_chain(24),
+            "9f9dbd811fc0e678c35d82a4925fa5e21f95001b231969558d14849d84d29294",
+            "d66dbf2dc0915f7e08ce79c80213ede386b98df803a1c7229de7ddaba627034e",
+        ),
+        "necklace": (
+            lambda: necklace(11, 8),
+            "64ae3f1b83a2d77e09992c4aba564fb1c6f55ef17b82d1ebc099cabe2d9f43de",
+            "bdbc7cd0b2056effab4671d6e9457ff0dbcde543f3d9c536a439b9c3a7c85f02",
+        ),
+    }
+
+    @staticmethod
+    def _digest(doc) -> str:
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_certificate_and_tree_digests(self, family):
+        make, cert_digest, tree_digest = self.CASES[family]
+        g = make()
+        assert self._digest(color_class_member(g).to_json()) == cert_digest
+        assert self._digest(pipeline.decompose(g).to_json()) == tree_digest
