@@ -80,7 +80,7 @@ class VertexColoring:
         return True
 
     def to_json(self) -> Dict[str, int]:
-        return {str(v): self.colors[v] for v in sorted(self.colors)}
+        return {str(v): c for v, c in self.colors.items()}
 
 
 @dataclass(frozen=True)

@@ -144,8 +144,8 @@ def gen_line_of_subdivided_cubic(
     """Line graph of the base cubic graph with every edge subdivided.
 
     One random edge is subdivided twice when requested.  The output is
-    checked with the pattern oracles before being emitted: the polynomial
-    ones always, the subdivision oracle when the result fits its budget.
+    checked before being emitted: by :func:`verify_membership` when it fits
+    the budget, else by the polynomial oracles alone.
     """
     if any(base.degree(v) != 3 for v in base.vertices) or not is_connected(base):
         raise ContractViolationError("base graph must be connected and cubic")
@@ -155,12 +155,12 @@ def gen_line_of_subdivided_cubic(
         base_edges = list(base.edges())
         double = base_edges[rng.randrange(len(base_edges))]
     out = line_graph(subdivide(base, double))
-    if find_diamond(out) is not None or find_bowtie(out) is not None:
-        raise GenerationError("line-graph construction produced a forbidden pattern")
     if out.n <= budget:
         report = verify_membership(out, budget=budget)
         if report.verdict != "member":
             raise GenerationError(f"oracle rejected generated line graph: {report.verdict}")
+    elif find_diamond(out) is not None or find_bowtie(out) is not None:
+        raise GenerationError("line-graph construction produced a forbidden pattern")
     return out
 
 

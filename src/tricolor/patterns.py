@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError
 from .graph import Graph, induced_subgraph, peel_low_degree
@@ -131,49 +131,36 @@ def is_k4_subdivision(sub: Graph) -> bool:
 # Polynomial detectors
 
 
-def find_diamond(g: Graph) -> Optional[PatternWitness]:
-    """Lexicographically least 4-set inducing K4 minus an edge, or None.
+def _triangle_pairs(g: Graph) -> Iterator[Tuple[int, Tuple[int, int], Tuple[int, int]]]:
+    """Every pair of triangles at one vertex c, as (c, (x1, y1), (x2, y2)).
 
-    Every induced diamond is found from its unique axis edge: the two
-    degree-3 vertices are adjacent and share two nonadjacent neighbors.
+    Two triangles at c span a diamond, a bowtie or a K4, and each of the
+    three has two triangles at some vertex, so g has none of them exactly
+    when this yields nothing.
     """
-    best: Optional[Tuple[int, ...]] = None
-    for u, v in g.edges():
-        common = [w for w in g.neighbors(u) if g.has_edge(v, w)]
-        for w1, w2 in combinations(common, 2):
-            if not g.has_edge(w1, w2):
-                cand = tuple(sorted((u, v, w1, w2)))
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        return None
-    return PatternWitness("diamond", best)
+    has_edge = g.has_edge
+    for c in g.vertices:
+        tris = [(x, y) for x, y in combinations(g.neighbors(c), 2) if has_edge(x, y)]
+        for t1, t2 in combinations(tris, 2):
+            yield c, t1, t2
+
+
+def _least(kind: str, candidates: Iterable[Tuple[int, ...]]) -> Optional[PatternWitness]:
+    best = min(candidates, default=None)
+    return None if best is None else PatternWitness(kind, best)
+
+
+def find_diamond(g: Graph) -> Optional[PatternWitness]:
+    """Lexicographically least induced diamond: two triangles sharing a wing, tips apart."""
+    return _least("diamond", (tuple(sorted({c, *t1, *t2})) for c, t1, t2 in _triangle_pairs(g)
+                              if len(tips := {*t1} ^ {*t2}) == 2 and not g.has_edge(*tips)))
 
 
 def find_bowtie(g: Graph) -> Optional[PatternWitness]:
-    """Lexicographically least 5-set inducing two triangles sharing a vertex."""
-    best: Optional[Tuple[int, ...]] = None
-    for c in g.vertices:
-        nbrs = g.neighbors(c)
-        tri_pairs = [(x, y) for x, y in combinations(nbrs, 2) if g.has_edge(x, y)]
-        for (x1, y1), (x2, y2) in combinations(tri_pairs, 2):
-            wings = {x1, y1, x2, y2}
-            if len(wings) != 4:
-                continue
-            cross = [
-                (a, b)
-                for a in (x1, y1)
-                for b in (x2, y2)
-                if g.has_edge(a, b)
-            ]
-            if cross:
-                continue
-            cand = tuple(sorted((c, x1, y1, x2, y2)))
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
-    return PatternWitness("bowtie", best)
+    """Lexicographically least induced bowtie: two triangles with disjoint, unjoined wings."""
+    return _least("bowtie", (tuple(sorted((c, *t1, *t2))) for c, t1, t2 in _triangle_pairs(g)
+                             if not {*t1} & {*t2}
+                             and not any(g.has_edge(a, b) for a in t1 for b in t2)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +178,10 @@ def _search(g: Graph, order: Sequence[int],
     degree 3; both are monotone under growth, so the pruning is sound.
     Returns the least witness of the first root that has one, or None, and
     whether ``max_steps`` visits (a root is one) cut the search short; a cut
-    search returns its current root's least witness so far.  The stack is
-    explicit because the depth grows with n, past the recursion limit.  A
-    frame is [subset, induced degrees, extension list, banned set, next
-    extension index], the index -1 until the subset itself is visited.
+    search's witness need not be the least.  The stack is explicit because
+    the depth grows with n, past the recursion limit.  A frame is [subset,
+    induced degrees, extension list, banned set, next extension index], the
+    index -1 until the subset itself is visited.
     """
     steps = 0
     for root in order:
@@ -248,11 +235,11 @@ def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
 
     Exact mode (2-core size <= budget) runs :func:`_search` over ascending
     roots, so the first root with a witness holds the least one; it returns
-    that witness or None.  Cut after ``EXACT_MAX_STEPS`` steps, it returns
-    the least witness found so far, or raises without one.  Beyond the budget
-    the roots are shuffled by ``random.Random(0)``, the search stops after
-    ``BOUNDED_MAX_STEPS`` steps, and without a witness the result is the
-    string ``"unknown"``.  K4 itself counts (the trivial subdivision).
+    that witness or None, and raises if cut after ``EXACT_MAX_STEPS`` steps.
+    Beyond the budget the roots are shuffled by ``random.Random(0)``, the
+    search stops after ``BOUNDED_MAX_STEPS`` steps, and without a witness the
+    result is the string ``"unknown"``.  K4 itself counts (the trivial
+    subdivision).
     """
     core = peel_low_degree(g, 1)[0]
     return _find_isk4_in_core(core, core.n <= budget)
@@ -264,14 +251,12 @@ def _find_isk4_in_core(core: Graph, exact: bool):
     if not exact:
         random.Random(0).shuffle(order)
     found, cut = _search(core, order, EXACT_MAX_STEPS if exact else BOUNDED_MAX_STEPS)
+    if exact and cut:
+        raise BudgetExceededError(
+            f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={core.n}"
+        )
     if found is None:
-        if not exact:
-            return VERDICT_UNKNOWN
-        if cut:
-            raise BudgetExceededError(
-                f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={core.n}"
-            )
-        return None
+        return None if exact else VERDICT_UNKNOWN
     corners, paths = _corner_paths(induced_subgraph(core, found))
     return PatternWitness("isk4", found, corners, paths)
 

@@ -3,14 +3,15 @@
 A basic graph (connected, no clique cutset, minimum degree >= 3) in the
 target class is a complete bipartite graph, the line graph of a sparse
 max-degree-3 graph, or has a proper 2-cutset.  The classifier tries those
-branches in order; a series-parallel branch is kept last so raw CLI inputs
-get a sensible verdict too.  It comes in two halves: :func:`classify_direct`
-tries the two branches that are colored directly, which need no cutset
-search and hold for some graphs with clique cutsets too, and
-:func:`classify_residue` tries the rest.  The decomposition calls the halves
-on either side of its cutset searches; :func:`classify_basic` runs both.
-No forbidden-pattern oracle runs here: the root rebuild rejects a diamond
-from the common neighbours it lists to build its cliques.
+branches in order, in two halves: :func:`classify_direct` tries the two
+branches that are colored directly, which need no cutset search and hold
+for some graphs with clique cutsets too, and :func:`classify_residue` looks
+for a proper 2-cutset.  The decomposition calls the halves on either side
+of its cutset searches; its residuals have minimum degree >= 3, hence a K4
+minor, so only :func:`classify_basic`, which runs both on raw inputs too,
+falls back to series-parallel.  No forbidden-pattern oracle runs here: the
+root rebuild rejects a diamond from the common neighbours it lists to
+build its cliques.
 """
 
 from __future__ import annotations
@@ -230,15 +231,10 @@ def classify_direct(g: Graph) -> Optional[BasicVerdict]:
 
 
 def classify_residue(g: Graph) -> BasicVerdict:
-    """Verdict of a graph that :func:`classify_direct` has rejected.
-
-    Proper 2-cutset, then series-parallel, then unclassified.
-    """
+    """Proper-2-cutset verdict of a graph :func:`classify_direct` rejected, or unclassified."""
     cutset = find_proper_2_cutset(g)
     if cutset is not None:
         return BasicVerdict(BRANCH_PROPER_2_CUTSET, cutset=cutset)
-    if is_series_parallel(g):
-        return BasicVerdict(BRANCH_SERIES_PARALLEL)
     return BasicVerdict(BRANCH_UNCLASSIFIED)
 
 
@@ -249,4 +245,7 @@ def classify_basic(g: Graph) -> BasicVerdict:
     but total on any input: cheap checks run first, and the series-parallel
     branch catches raw inputs that the decomposition would normally consume.
     """
-    return classify_direct(g) or classify_residue(g)
+    verdict = classify_direct(g) or classify_residue(g)
+    if verdict.branch == BRANCH_UNCLASSIFIED and is_series_parallel(g):
+        return BasicVerdict(BRANCH_SERIES_PARALLEL)
+    return verdict

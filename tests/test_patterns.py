@@ -15,6 +15,7 @@ from common import (
 )
 from conftest import random_graph
 from tricolor import (
+    BudgetExceededError,
     PatternWitness,
     build_graph,
     find_bowtie,
@@ -77,6 +78,40 @@ class TestFindBowtie:
             assert (mine.vertices if mine else None) == ref
 
 
+def dense_graphs():
+    """Seeded graphs with n <= 9 and p in [0.3, 0.8]: diamonds, bowties and K4s mix."""
+    rng = random.Random(4242)
+    for _ in range(150):
+        yield random_graph(rng, rng.randrange(4, 10), rng.uniform(0.3, 0.8))
+
+
+class TestTrianglePairs:
+    def test_detectors_agree_with_oracle_on_dense_graphs(self):
+        found = {"diamond": 0, "bowtie": 0}
+        for g in dense_graphs():
+            for kind, find, pattern in (("diamond", find_diamond, diamond_graph()),
+                                        ("bowtie", find_bowtie, bowtie_graph())):
+                mine = find(g)
+                ref = oracles.find_induced_copy(g, pattern)
+                assert (mine.vertices if mine else None) == ref
+                found[kind] += ref is not None
+        assert min(found.values()) >= 20
+
+    def test_empty_exactly_without_diamond_bowtie_and_k4(self):
+        outcomes = set()
+        for g in dense_graphs():
+            free = all(oracles.find_induced_copy(g, pattern) is None
+                       for pattern in (diamond_graph(), bowtie_graph(), complete_graph(4)))
+            assert (next(patterns._triangle_pairs(g), None) is None) == free
+            outcomes.add(free)
+        assert outcomes == {True, False}
+
+    def test_k4_pairs_match_neither_filter(self):
+        assert len(list(patterns._triangle_pairs(complete_graph(4)))) == 4 * 3
+        assert find_diamond(complete_graph(4)) is None
+        assert find_bowtie(complete_graph(4)) is None
+
+
 class TestFindIsk4:
     def test_k4_is_its_own_subdivision(self):
         w = find_isk4(complete_graph(4))
@@ -107,6 +142,21 @@ class TestFindIsk4:
             assert (mine.vertices if mine else None) == ref
             checked += 1
         assert checked >= 200
+
+    def test_cut_exact_search_raises_or_agrees(self, monkeypatch):
+        # A search cut after it recorded a witness may hold one that is not
+        # the least, so exact mode raises instead of returning it.
+        rng = random.Random(15)
+        graphs = [random_graph(rng, 10, rng.choice([0.3, 0.4, 0.5])) for _ in range(60)]
+        full = [find_isk4(g, budget=10) for g in graphs]
+        monkeypatch.setattr(patterns, "EXACT_MAX_STEPS", 37)
+        raised = 0
+        for g, want in zip(graphs, full):
+            try:
+                assert find_isk4(g, budget=10) == want
+            except BudgetExceededError:
+                raised += 1
+        assert 0 < raised < len(graphs)
 
     def test_bounded_mode_finds_planted_pattern(self):
         sub = subdivide(complete_graph(4))

@@ -31,7 +31,7 @@ from tricolor import (
     subdivide,
     verify_certificate,
 )
-from tricolor import cutsets, pipeline
+from tricolor import cutsets, pipeline, recognition
 from tricolor.pipeline import ColoringCertificate
 
 
@@ -130,6 +130,19 @@ class TestColorClassMember:
             color_class_member(complete_graph(4))
         assert err.value.payload["verdict"] == "unclassified"
         assert err.value.payload["leaf"]["vertices"] == [0, 1, 2, 3]
+
+    def test_no_series_parallel_test_in_the_pipeline(self, monkeypatch):
+        # Every residual has minimum degree >= 3, hence a K4 minor.
+        calls = []
+        plain = recognition.is_series_parallel
+        monkeypatch.setattr(recognition, "is_series_parallel",
+                            lambda g: calls.append(g.n) or plain(g))
+        for g in (necklace(4, 3), prism_graph()):
+            assert verify_certificate(g, color_class_member(g))
+        with pytest.raises(PipelineError) as err:
+            color_class_member(petersen_graph())
+        assert err.value.payload["verdict"] == "unclassified"
+        assert calls == []
 
     def test_petersen_fails_loudly(self):
         with pytest.raises(PipelineError):
