@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .coloring import chi_exact
 from .errors import (
@@ -46,12 +46,12 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
-BUDGET_ENV = "TRICOLOR_BUDGET"
 # Ten times the largest scale the scaling checks cover; build_graph allocates
 # one adjacency list per vertex before reading any edge.
 MAX_VERTICES = 1_000_000
 
 logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +135,32 @@ def graph_to_json(g: Graph) -> Dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-def read_graph(path: str, fmt: Optional[str] = None) -> Graph:
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` the UTF-8 text of ``path``; what cannot be read or parsed is malformed.
+
+    ``ValueError`` covers bytes that are not UTF-8, invalid JSON and integers
+    over ``int``'s digit limit; the JSON decoder recurses once per nesting level.
+    """
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise MalformedInputError(f"cannot load {path}: {exc}") from exc
+
+
+def read_graph(path: str, fmt: Optional[str] = None) -> Graph:
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "col"
     if fmt == "json":
-        try:
-            return parse_graph_json(json.loads(text))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # The JSON decoder recurses once per nesting level.
-            raise MalformedInputError(f"{path}: invalid JSON: {exc}") from exc
+        return _load(path, lambda text: parse_graph_json(json.loads(text)))
     if fmt == "col":
-        return parse_dimacs(text)
+        return _load(path, parse_dimacs)
     raise MalformedInputError(f"unknown format {fmt!r}")
 
 
 def _emit(data: Dict) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_EXACT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedInputError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +195,7 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     g = read_graph(args.graph, args.format)
-    try:
-        with open(args.cert) as fh:
-            cert = ColoringCertificate.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise MalformedInputError(f"cannot load certificate {args.cert}: {exc}") from exc
+    cert = _load(args.cert, lambda text: ColoringCertificate.from_json(json.loads(text)))
     ok = verify_certificate(g, cert)
     _emit({"valid": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -230,13 +220,12 @@ def cmd_membership(args) -> int:
     return EXIT_BUDGET
 
 
-def _generate(kind: str, seed: int, size: int, budget: int) -> Graph:
+def _generate(kind: str, seed: int, size: int) -> Graph:
     if kind == "sp":
         return gen_series_parallel(seed, size)
     if kind == "line":
         base = random_cubic_graph(seed, 2 * (size // 6))
-        return gen_line_of_subdivided_cubic(seed, base, double_one_edge=size % 2 == 1,
-                                            budget=budget)
+        return gen_line_of_subdivided_cubic(seed, base, double_one_edge=size % 2 == 1)
     if kind == "glue":
         half = size // 2
         parts = [gen_series_parallel(seed * 2 + 1, half),
@@ -248,8 +237,9 @@ def _generate(kind: str, seed: int, size: int, budget: int) -> Graph:
 
 
 def cmd_generate(args) -> int:
+    _check_vertex_count(args.size)
     try:
-        g = _generate(args.kind, args.seed, args.size, args.budget)
+        g = _generate(args.kind, args.seed, args.size)
     except ContractViolationError as exc:
         # A generator refuses a size it cannot build; that is a bad argument.
         raise MalformedInputError(str(exc)) from exc
@@ -291,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--verify-membership", action="store_true",
                    help="run the membership oracle before coloring")
-    p.add_argument("--budget", type=int, help="membership oracle size budget (>= 0)")
+    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+                   help="membership oracle size budget (>= 0)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
@@ -309,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", help="run the forbidden-pattern oracles")
     p.add_argument("file")
     add_format(p)
-    p.add_argument("--budget", type=int, help="exact subdivision-oracle size budget (>= 0)")
+    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+                   help="exact subdivision-oracle size budget (>= 0)")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("generate", help="emit a generated member or planted non-member")
@@ -318,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=16)
     p.add_argument("--format", choices=["col", "json"], default="col")
-    p.add_argument("--budget", type=int,
-                   help="size budget (>= 0) of the membership oracle that checks "
-                        "--kind line; refused for other kinds")
     p.set_defaults(func=cmd_generate)
 
     return parser
@@ -335,15 +324,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        # Read under every subcommand, inside this handler: a bad value exits 2.
-        env_budget = _default_budget()
-        for name, value in ((BUDGET_ENV, env_budget), ("--budget", getattr(args, "budget", 0))):
-            if value is not None and value < 0:
-                raise MalformedInputError(f"{name} must be non-negative, got {value}")
-        if getattr(args, "budget", 0) is None:
-            args.budget = env_budget
-        elif args.command == "generate" and args.kind != "line":
-            raise MalformedInputError(f"--budget applies to --kind line only, not {args.kind}")
+        if getattr(args, "budget", 0) < 0:
+            raise MalformedInputError(f"--budget must be non-negative, got {args.budget}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, under the handler below
         return code

@@ -1,9 +1,9 @@
 """End-to-end orchestration: decompose, classify, color, recombine, certify.
 
 :func:`decompose` builds one tree.  Every node peels its subgraph, then
-stops, splits into components, or tries the branches that are colored
-directly (complete bipartite, line graph of a sparse graph).  Only a
-residual they reject is split into all its blocks, or else into all its
+stops or tries the branches that are colored directly (complete bipartite,
+line graph of a sparse graph), which reject a disconnected residual.  Only
+a residual they reject is split into all its blocks, or else into all its
 clique atoms (one MCS-M pass, run on 2-connected residues alone), and is
 classified last.  A residual with a proper 2-cutset keeps the minimal small
 side and hands the other side plus the pair to its one child, which goes
@@ -28,13 +28,7 @@ from .coloring import (
 )
 from .cutsets import biconnected_blocks, clique_atoms
 from .errors import ContractViolationError, PipelineError
-from .graph import (
-    Graph,
-    connected_components,
-    induced_subgraph,
-    json_int,
-    peel_low_degree,
-)
+from .graph import Graph, induced_subgraph, json_int, peel_low_degree
 from .recognition import (
     BRANCH_COMPLETE_BIPARTITE,
     BRANCH_LINE_OF_SPARSE,
@@ -67,15 +61,16 @@ class TreeNode:
 
     ``removed`` lists the vertices of the degree-<=2 peel of ``graph`` in
     removal order; the fold reads this node's graph alone.  ``cutset`` is
-    the empty tuple for a component split, the vertices in two or more
-    children of a ``blocks`` or ``atoms`` node, the pair of a proper
-    2-cutset, and None at leaves.  The children of a ``blocks`` (``atoms``)
-    node are the blocks (clique atoms) of its residual, each meeting the
-    union of the earlier ones in one cut vertex (a clique).  ``verdict``
-    classifies the residual of ``basic`` and ``proper_2_cutset`` nodes; a
-    ``proper_2_cutset`` node's one child is ``side_y`` plus the pair.  A
-    ``basic`` residual in the complete-bipartite or line-of-sparse branch
-    may still have a clique cutset: those branches are colored without one.
+    the vertices in two or more children of a ``blocks`` or ``atoms`` node,
+    the pair of a proper 2-cutset, and None at leaves.  The children of a
+    ``blocks`` (``atoms``) node are the blocks (clique atoms) of its
+    residual, each meeting the union of the earlier ones of its component
+    in one cut vertex (a clique); blocks of different components share no
+    vertex.  ``verdict`` classifies the residual of ``basic`` and
+    ``proper_2_cutset`` nodes; a ``proper_2_cutset`` node's one child is
+    ``side_y`` plus the pair.  A ``basic`` residual in the complete-bipartite
+    or line-of-sparse branch may still have a clique cutset: those branches
+    are colored without one.
     """
 
     node_id: int
@@ -84,7 +79,7 @@ class TreeNode:
     removed: Tuple[int, ...]
     cutset: Optional[Tuple[int, ...]]
     children: Tuple[int, ...]
-    kind: str  # "empty" | "components" | "blocks" | "atoms" | "basic" | "proper_2_cutset"
+    kind: str  # "empty" | "blocks" | "atoms" | "basic" | "proper_2_cutset"
     verdict: Optional[BasicVerdict]
 
 
@@ -127,11 +122,8 @@ def _split(
     residual: Graph,
 ) -> Tuple[str, Optional[Tuple[int, ...]], List[Tuple[int, ...]], Optional[BasicVerdict]]:
     """Kind, cutset, child vertex sets and verdict; blocks and atoms share one path."""
-    comps = connected_components(residual)
-    if not comps:
+    if residual.n == 0:
         return "empty", None, [], None
-    if len(comps) > 1:
-        return "components", (), comps, None
     verdict = classify_direct(residual)
     if verdict is not None:
         return "basic", None, [], verdict
@@ -151,14 +143,15 @@ def decompose(g: Graph) -> DecompositionTree:
     """Decompose by degree-<=2 peels, cut vertices, clique atoms and proper 2-cutsets.
 
     Each node peels its subgraph to fixpoint.  An empty residual ends the
-    branch and a disconnected one splits into its components (the empty
-    clique).  A connected one that is complete bipartite or the line graph
+    branch.  A connected one that is complete bipartite or the line graph
     of a sparse graph is a ``basic`` leaf, clique cutsets or not.  Otherwise
-    a residual with a cut vertex splits into all its blocks at once, and a
-    2-connected one with a clique cutset into all its clique atoms at once,
-    read off one MCS-M pass.  What remains is classified: in the
-    proper-2-cutset branch the node keeps the minimal small side and its
-    child is the other side plus the pair, any other verdict makes a leaf.
+    a residual with a cut vertex or more than one component splits into all
+    its blocks at once (each component of a residual, of minimum degree 3,
+    holds a block), and a 2-connected one with a clique cutset into all its
+    clique atoms at once, read off one MCS-M pass.  What remains is
+    classified: in the proper-2-cutset branch the node keeps the minimal
+    small side and its child is the other side plus the pair, any other
+    verdict makes a leaf.
     No residual is tested for a branch twice.  The root's graph is g itself,
     and children sit one layer deeper and get larger ids than their parent.
     Fully peeled leaves are kept: the replay needs their removal orders.
@@ -275,8 +268,8 @@ def _color_graph(tree: DecompositionTree) -> Tuple[VertexColoring, int]:
             (child_id,) = node.children
             residual_coloring = merge_at_proper2(dual, folded.pop(child_id), a, b)
         else:
-            # components, blocks or atoms: children in order, each aligned
-            # where it meets the earlier ones.
+            # blocks or atoms: children in order, each aligned where it
+            # meets the earlier ones.
             pieces = [folded.pop(child_id) for child_id in node.children]
             residual_coloring = merge_at_clique(node.graph, pieces)
         folded[node.node_id] = add_back_peeled(node.graph, residual_coloring, node.removed)

@@ -309,6 +309,13 @@ class TestCommands:
             assert main(["generate", "--kind", kind, "--size", size]) == EXIT_MALFORMED
             assert capsys.readouterr().out == ""
 
+    def test_generate_size_over_the_input_limit_exits_malformed(self, capsys, caplog):
+        # Refused before anything is built, with the message input files get.
+        for kind in ("sp", "line", "glue", "diamond"):
+            assert main(["generate", "--kind", kind, "--size", "1000001"]) == EXIT_MALFORMED
+            assert capsys.readouterr().out == ""
+        assert "vertex count 1000001 exceeds the limit of 1000000" in caplog.text
+
     def test_generate_color_round_trip(self, tmp_path, capsys):
         assert main(["generate", "--kind", "sp", "--seed", "2", "--size", "40"]) == EXIT_OK
         text = capsys.readouterr().out
@@ -360,47 +367,18 @@ class TestCommands:
             expected = EXIT_OK if doc is path_cert else EXIT_MALFORMED
             assert main(["verify", pfile, str(cert_file)]) == expected, doc
 
-    def test_budget_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TRICOLOR_BUDGET", "12")
-        gfile = write_graph_file(tmp_path, cycle_graph(15))
-        # Exact mode no longer covers n=15, so the verdict is unknown.
-        assert main(["membership", gfile]) == EXIT_BUDGET
-        assert json.loads(capsys.readouterr().out)["budget"] == 12
-
-    def test_bad_budget_env_var_exits_malformed(self, tmp_path, capsys, monkeypatch, caplog):
-        monkeypatch.setenv("TRICOLOR_BUDGET", "abc")
+    def test_negative_budget_exits_malformed(self, tmp_path, capsys, caplog):
         gfile = write_graph_file(tmp_path, cycle_graph(5))
-        for argv in (["recognize", gfile], ["decompose", gfile], ["color", gfile],
-                     ["membership", gfile], ["chi", gfile], ["generate", "--kind", "sp"]):
-            assert main(argv) == EXIT_MALFORMED, argv
-        assert capsys.readouterr().out == ""
-        assert "TRICOLOR_BUDGET must be an integer" in caplog.text
-
-    def test_generate_budget_only_for_line(self, capsys, monkeypatch, caplog):
-        for kind in ("sp", "glue", "diamond", "bowtie", "isk4"):
-            argv = ["generate", "--kind", kind, "--seed", "2", "--size", "12"]
-            assert main(argv + ["--budget", "5"]) == EXIT_MALFORMED, kind
-            assert capsys.readouterr().out == ""
-            monkeypatch.setenv("TRICOLOR_BUDGET", "5")
-            assert main(argv) == EXIT_OK, kind
-            assert capsys.readouterr().out.startswith("p edge")
-            monkeypatch.delenv("TRICOLOR_BUDGET")
-        assert "malformed input: --budget applies to --kind line only" in caplog.text
-        assert main(["generate", "--kind", "line", "--size", "12", "--budget", "5"]) == EXIT_OK
-
-    def test_negative_budget_exits_malformed(self, tmp_path, capsys, monkeypatch, caplog):
-        gfile = write_graph_file(tmp_path, cycle_graph(5))
-        for argv in (["chi", gfile], ["membership", gfile], ["color", gfile],
-                     ["generate", "--kind", "line"]):
+        for argv in (["chi", gfile], ["membership", gfile], ["color", gfile]):
             assert main(argv + ["--budget", "-1"]) == EXIT_MALFORMED, argv
             assert main(argv + ["--budget", "-3"]) == EXIT_MALFORMED, argv
-        monkeypatch.setenv("TRICOLOR_BUDGET", "-2")
-        for argv in (["recognize", gfile], ["color", gfile], ["membership", gfile],
-                     ["chi", gfile], ["generate", "--kind", "sp"]):
-            assert main(argv) == EXIT_MALFORMED, argv
         assert capsys.readouterr().out == ""
         assert "--budget must be non-negative, got -3" in caplog.text
-        assert "TRICOLOR_BUDGET must be non-negative, got -2" in caplog.text
+
+    def test_generate_has_no_budget(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--kind", "line", "--size", "12", "--budget", "5"])
+        assert err.value.code == EXIT_MALFORMED
 
     @pytest.mark.parametrize("method", ["write", "flush"])
     def test_closed_stdout_exits_quietly(self, method, tmp_path, capsys, monkeypatch):
@@ -493,3 +471,26 @@ class TestExitCodeFuzz:
         huge_json.write_text('{"n": 100000000000, "edges": []}')
         for path in (huge_col, huge_json):
             assert main(["recognize", str(path)]) == EXIT_MALFORMED, path
+
+    def test_undecodable_and_overlong_inputs(self, tmp_path, capsys, caplog):
+        # Each of the first three once escaped main as a traceback (exit 1).
+        gfile = write_graph_file(tmp_path, prism_graph(), "prism.col")
+        assert main(["color", gfile]) == EXIT_OK
+        cert = json.loads(capsys.readouterr().out)
+        bad_col, bad_json = tmp_path / "bad.col", tmp_path / "bad.json"
+        long_json, bad_cert = tmp_path / "long.json", tmp_path / "bad_cert.json"
+        long_cert = tmp_path / "long_cert.json"
+        bad_col.write_bytes(b"p edge 2 1\ne 1 \xff\n")
+        bad_json.write_bytes(b'{"n": 2, "edges": [[0, 1]]}\xff')
+        long_json.write_text('{"n": ' + "9" * 5000 + ', "edges": []}')
+        bad_cert.write_bytes(json.dumps(cert).encode() + b"\xff")
+        long_cert.write_text(json.dumps(cert).replace('"palette": ', '"palette": ' + "9" * 5000))
+        for path in (bad_col, bad_json, long_json):
+            for command in ("recognize", "decompose", "color", "membership", "chi"):
+                assert main([command, str(path)]) == EXIT_MALFORMED, (command, path)
+            assert main(["verify", str(path), str(tmp_path / "unused.json")]) == EXIT_MALFORMED
+            assert f"cannot load {path}" in caplog.text
+        for path in (bad_cert, long_cert):
+            assert main(["verify", gfile, str(path)]) == EXIT_MALFORMED, path
+            assert f"cannot load {path}" in caplog.text
+        assert capsys.readouterr().out == ""

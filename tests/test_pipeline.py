@@ -2,7 +2,9 @@ import hashlib
 import inspect
 import json
 import sys
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from common import (
@@ -119,6 +121,25 @@ class TestColorClassMember:
         )
         cert = color_class_member(g)
         assert cert.palette <= 3 and verify_certificate(g, cert)
+
+    def test_disconnected_residual_is_one_blocks_node(self):
+        # K3,3 beside a prism: the peel removes nothing, and the residual's
+        # two components are its two blocks, sharing no vertex.
+        g = build_graph(
+            list(complete_bipartite(3, 3).edges())
+            + [(u + 6, v + 6) for u, v in prism_graph().edges()],
+            12,
+        )
+        tree = pipeline.decompose(g)
+        assert (tree.root.kind, tree.root.cutset) == ("blocks", ())
+        assert [tree.nodes[c].graph.vertices for c in tree.root.children] == [
+            tuple(range(6)), tuple(range(6, 12))]
+        schema = resources.files("tricolor").joinpath("schemas/tree.json").read_text()
+        jsonschema.validate(tree.to_json(), json.loads(schema))
+        cert = color_class_member(g)
+        assert {leaf["branch"] for leaf in cert.leaf_verdicts} == {
+            "complete_bipartite", "line_of_sparse"}
+        assert verify_certificate(g, cert)
 
     def test_empty_and_singleton(self):
         for g in (build_graph([], 0), build_graph([], 1)):
