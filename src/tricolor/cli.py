@@ -144,7 +144,7 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, MalformedInputError) as exc:
         raise MalformedInputError(f"cannot load {path}: {exc}") from exc
 
 
@@ -182,13 +182,6 @@ def cmd_decompose(args) -> int:
 
 def cmd_color(args) -> int:
     g = read_graph(args.file, args.format)
-    if args.verify_membership:
-        report = verify_membership(g, budget=args.budget)
-        if report.verdict == "nonmember":
-            raise PipelineError(
-                "input is not a class member",
-                payload={"verdict": report.verdict, "witness": report.witness.to_json()},
-            )
     _emit(color_class_member(g).to_json())
     return EXIT_OK
 
@@ -279,10 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="emit a verified 3-coloring certificate")
     p.add_argument("file")
     add_format(p)
-    p.add_argument("--verify-membership", action="store_true",
-                   help="run the membership oracle before coloring")
-    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                   help="membership oracle size budget (>= 0)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
@@ -346,8 +335,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if exc.payload:
             json.dump(exc.payload, sys.stderr, indent=2, sort_keys=True)
             sys.stderr.write("\n")
-        if exc.payload.get("verdict") == "nonmember":
-            return EXIT_NEGATIVE
         return EXIT_INTERNAL
     except (ContractViolationError, GenerationError) as exc:
         logger.error("%s", exc)

@@ -241,12 +241,14 @@ def find_isk4(g: Graph, budget: int = DEFAULT_EXACT_BUDGET):
     result is the string ``"unknown"``.  K4 itself counts (the trivial
     subdivision).
     """
+    found, mode = _isk4_search(g, budget)
+    return VERDICT_UNKNOWN if found is None and mode == "bounded" else found
+
+
+def _isk4_search(g: Graph, budget: int) -> Tuple[Optional[PatternWitness], str]:
+    """The witness :func:`find_isk4` finds in g's 2-core, or None, and the mode it searched in."""
     core = peel_low_degree(g, 1)[0]
-    return _find_isk4_in_core(core, core.n <= budget)
-
-
-def _find_isk4_in_core(core: Graph, exact: bool):
-    """:func:`find_isk4` on a graph that is its own 2-core, in the given mode."""
+    exact = core.n <= budget
     order = list(core.vertices)
     if not exact:
         random.Random(0).shuffle(order)
@@ -255,10 +257,10 @@ def _find_isk4_in_core(core: Graph, exact: bool):
         raise BudgetExceededError(
             f"exact isk4 enumeration exceeded {EXACT_MAX_STEPS} steps on n={core.n}"
         )
+    mode = "exact" if exact else "bounded"
     if found is None:
-        return None if exact else VERDICT_UNKNOWN
-    corners, paths = _corner_paths(induced_subgraph(core, found))
-    return PatternWitness("isk4", found, corners, paths)
+        return None, mode
+    return PatternWitness("isk4", found, *_corner_paths(induced_subgraph(core, found))), mode
 
 
 def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> MembershipReport:
@@ -267,25 +269,17 @@ def verify_membership(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Membershi
     ``member`` requires every pattern to be excluded in exact mode, which for
     the K4-subdivision oracle means a 2-core of at most ``budget`` vertices.
     """
-    w = find_diamond(g)
+    w, mode = find_diamond(g) or find_bowtie(g), "exact"
+    if w is None:
+        w, mode = _isk4_search(g, budget)
     if w is not None:
-        return MembershipReport(VERDICT_NONMEMBER, w, mode="exact", budget=budget)
-    w = find_bowtie(g)
-    if w is not None:
-        return MembershipReport(VERDICT_NONMEMBER, w, mode="exact", budget=budget)
-    core = peel_low_degree(g, 1)[0]
-    exact = core.n <= budget
-    result = _find_isk4_in_core(core, exact)
-    if isinstance(result, PatternWitness):
-        return MembershipReport(
-            VERDICT_NONMEMBER, result, mode="exact" if exact else "bounded", budget=budget
-        )
-    if exact:
-        return MembershipReport(VERDICT_MEMBER, None, mode="exact", budget=budget)
+        return MembershipReport(VERDICT_NONMEMBER, w, mode=mode, budget=budget)
+    if mode == "exact":
+        return MembershipReport(VERDICT_MEMBER, None, mode=mode, budget=budget)
     return MembershipReport(
         VERDICT_UNKNOWN,
         None,
-        mode="bounded",
+        mode=mode,
         budget=budget,
         notes=("graph exceeds the exact search budget; no pattern found within bounds",),
     )

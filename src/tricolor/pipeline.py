@@ -217,6 +217,8 @@ class ColoringCertificate:
             raise ValueError("certificate must be a JSON object")
         if data.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {data.get('format')!r}")
+        if not isinstance(data["graph_hash"], str) or not isinstance(data["leaves"], list):
+            raise ValueError("certificate graph_hash must be a string and leaves an array")
         raw = data["coloring"]
         if not isinstance(raw, dict):
             raise ValueError("certificate coloring must be a JSON object")
@@ -281,8 +283,8 @@ def color_class_member(g: Graph, jobs: int = 1) -> ColoringCertificate:
 
     The pipeline runs structure-directed and aborts with a serialized
     witness of the offending subgraph when an assumption fails, rather than
-    ever emitting a wrong coloring.  It runs no forbidden-pattern oracle;
-    ``tricolor color --verify-membership`` runs one first.  The pipeline is
+    ever emitting a wrong coloring.  It runs no forbidden-pattern oracle; to
+    refuse non-members, run ``tricolor membership`` first.  The pipeline is
     serial; ``jobs`` must be 1.
     """
     if jobs != 1:

@@ -21,7 +21,6 @@ from common import (
     prism_graph,
 )
 import tricolor
-from tricolor import PatternWitness
 from tricolor.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
@@ -255,28 +254,6 @@ class TestCommands:
         gfile = write_graph_file(tmp_path, complete_graph(4))
         assert main(["color", gfile]) == EXIT_INTERNAL
 
-    def test_color_with_membership_check(self, tmp_path, capsys):
-        from common import bowtie_graph
-
-        g = bowtie_graph()
-        gfile = write_graph_file(tmp_path, g)
-        capsys.readouterr()
-        assert main(["color", gfile, "--verify-membership"]) == EXIT_NEGATIVE
-        err = capsys.readouterr().err
-        payload = json.loads(err[err.index("{"):])
-        assert payload["verdict"] == "nonmember"
-        witness = payload["witness"]
-        assert witness["kind"] == "bowtie"
-        assert PatternWitness(witness["kind"], tuple(witness["vertices"])).validate(g)
-
-    def test_color_with_membership_check_accepts_member(self, tmp_path, capsys):
-        gfile = write_graph_file(tmp_path, prism_graph())
-        assert main(["color", gfile, "--verify-membership"]) == EXIT_OK
-        cert_file = tmp_path / "cert.json"
-        cert_file.write_text(capsys.readouterr().out)
-        assert main(["verify", gfile, str(cert_file)]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out) == {"valid": True}
-
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.col"
         bad.write_text("p edge 2 1\ne 1 1\n")
@@ -293,7 +270,8 @@ class TestCommands:
             for command in ("decompose", "recognize", "color"):
                 assert main([command, str(bad)]) == EXIT_MALFORMED, (command, doc)
         assert capsys.readouterr().out == ""
-        assert "malformed input: bad graph JSON: n must be an integer, got 3.9" in caplog.text
+        assert (f"malformed input: cannot load {bad}: "
+                "bad graph JSON: n must be an integer, got 3.9") in caplog.text
         assert "edge end must be an integer, got '0'" in caplog.text
 
     def test_generate_kinds(self, tmp_path, capsys):
@@ -342,6 +320,8 @@ class TestCommands:
             dict(good, n=[6]),
             dict(good, format="tricolor.certificate/1"),
             {k: v for k, v in good.items() if k != "palette"},
+            dict(good, graph_hash=5),
+            dict(good, leaves="x"),
         ]
         cert_file = tmp_path / "cert.json"
         for doc in bad_docs:
@@ -369,7 +349,7 @@ class TestCommands:
 
     def test_negative_budget_exits_malformed(self, tmp_path, capsys, caplog):
         gfile = write_graph_file(tmp_path, cycle_graph(5))
-        for argv in (["chi", gfile], ["membership", gfile], ["color", gfile]):
+        for argv in (["chi", gfile], ["membership", gfile]):
             assert main(argv + ["--budget", "-1"]) == EXIT_MALFORMED, argv
             assert main(argv + ["--budget", "-3"]) == EXIT_MALFORMED, argv
         assert capsys.readouterr().out == ""
@@ -379,6 +359,31 @@ class TestCommands:
         with pytest.raises(SystemExit) as err:
             main(["generate", "--kind", "line", "--size", "12", "--budget", "5"])
         assert err.value.code == EXIT_MALFORMED
+
+    def test_color_has_no_membership_flags(self, tmp_path, capsys):
+        # `tricolor membership` is the one way to ask the oracle.
+        gfile = write_graph_file(tmp_path, prism_graph())
+        for flags in (["--verify-membership"], ["--budget", "5"]):
+            with pytest.raises(SystemExit) as err:
+                main(["color", gfile, *flags])
+            assert err.value.code == EXIT_MALFORMED, flags
+        assert capsys.readouterr().out == ""
+
+    def test_verify_names_the_bad_file(self, tmp_path, capsys, caplog):
+        gfile = write_graph_file(tmp_path, prism_graph())
+        assert main(["color", gfile]) == EXIT_OK
+        cert = json.loads(capsys.readouterr().out)
+        cert_file, bad_graph = tmp_path / "c.json", tmp_path / "syn.col"
+        cert_file.write_text(json.dumps(cert))
+        bad_graph.write_text("p edge 3 2\ne 1 x\n")
+        assert main(["verify", str(bad_graph), str(cert_file)]) == EXIT_MALFORMED
+        assert (f"malformed input: cannot load {bad_graph}: line 2: non-integer 'x' in 'e 1 x'"
+                in caplog.text)
+        caplog.clear()
+        cert_file.write_text(json.dumps(dict(cert, graph_hash=5)))
+        assert main(["verify", gfile, str(cert_file)]) == EXIT_MALFORMED
+        assert f"malformed input: cannot load {cert_file}: certificate graph_hash" in caplog.text
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("method", ["write", "flush"])
     def test_closed_stdout_exits_quietly(self, method, tmp_path, capsys, monkeypatch):

@@ -169,20 +169,6 @@ class TestColorClassMember:
         with pytest.raises(PipelineError):
             color_class_member(petersen_graph())
 
-    def test_verify_membership_mode_rejects_nonmember(self, tmp_path):
-        # The membership pre-check runs in ``tricolor color --verify-membership``
-        # before the pipeline; a nonmember aborts with its witness.
-        from common import bowtie_graph
-        from tricolor.cli import build_parser, cmd_color, write_dimacs
-
-        gfile = tmp_path / "bowtie.col"
-        gfile.write_text(write_dimacs(bowtie_graph()))
-        args = build_parser().parse_args(["color", str(gfile), "--verify-membership"])
-        with pytest.raises(PipelineError) as err:
-            cmd_color(args)
-        assert err.value.payload["verdict"] == "nonmember"
-        assert err.value.payload["witness"]["kind"] == "bowtie"
-
 
 class TestHighDegreeCutVertex:
     """The flower's vertex 0 has degree 2k and lies in all k blocks."""
