@@ -2,8 +2,9 @@
 
 Data goes to stdout, logs to stderr.  Graphs are read either as DIMACS
 coloring files (``p edge n m`` header, ``e u v`` lines, 1-based ids) or as
-JSON ``{"n": ..., "edges": [[u, v], ...]}``; the format is sniffed from the
-extension and can be forced with ``--format``.
+JSON ``{"n": ..., "edges": [[u, v], ...]}``; the text tells which: a graph
+JSON document starts with ``{`` and no DIMACS file does.  The file name
+plays no part, so ``/dev/stdin`` works too.
 
 Exit codes: 0 success, 1 negative verdict (non-member, invalid certificate,
 unclassified), 2 malformed input, 3 budget exceeded, 4 internal
@@ -16,6 +17,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
@@ -148,14 +150,10 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
         raise MalformedInputError(f"cannot load {path}: {exc}") from exc
 
 
-def read_graph(path: str, fmt: Optional[str] = None) -> Graph:
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "col"
-    if fmt == "json":
-        return _load(path, lambda text: parse_graph_json(json.loads(text)))
-    if fmt == "col":
-        return _load(path, parse_dimacs)
-    raise MalformedInputError(f"unknown format {fmt!r}")
+def read_graph(path: str) -> Graph:
+    """Graph JSON if the first non-blank character of the text is ``{``, else DIMACS."""
+    return _load(path, lambda text: (parse_graph_json(json.loads(text))
+                                     if re.match(r"\s*\{", text) else parse_dimacs(text)))
 
 
 def _emit(data: Dict) -> None:
@@ -168,26 +166,26 @@ def _emit(data: Dict) -> None:
 
 
 def cmd_recognize(args) -> int:
-    g = read_graph(args.file, args.format)
+    g = read_graph(args.file)
     verdict = classify_basic(g)
     _emit(verdict.to_json())
     return EXIT_OK if verdict.branch != BRANCH_UNCLASSIFIED else EXIT_NEGATIVE
 
 
 def cmd_decompose(args) -> int:
-    g = read_graph(args.file, args.format)
+    g = read_graph(args.file)
     _emit(decompose(g).to_json())
     return EXIT_OK
 
 
 def cmd_color(args) -> int:
-    g = read_graph(args.file, args.format)
+    g = read_graph(args.file)
     _emit(color_class_member(g).to_json())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    g = read_graph(args.graph, args.format)
+    g = read_graph(args.graph)
     cert = _load(args.cert, lambda text: ColoringCertificate.from_json(json.loads(text)))
     ok = verify_certificate(g, cert)
     _emit({"valid": ok})
@@ -195,7 +193,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    g = read_graph(args.file, args.format)
+    g = read_graph(args.file)
     chi, witness = chi_exact(g, budget=args.budget)
     sys.stdout.write(f"{chi}\n")
     logger.info("witness colors: %s", witness.to_json())
@@ -203,7 +201,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    g = read_graph(args.file, args.format)
+    g = read_graph(args.file)
     report = verify_membership(g, budget=args.budget)
     _emit(report.to_json())
     if report.verdict == "member":
@@ -255,40 +253,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log details to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, default=None):
-        p.add_argument("--format", choices=["col", "json"], default=default,
-                       help="input format (default: sniffed from the extension)")
-
     p = sub.add_parser("recognize", help="classify a graph into a structure branch")
     p.add_argument("file")
-    add_format(p)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("decompose", help="emit the full decomposition tree")
     p.add_argument("file")
-    add_format(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("color", help="emit a verified 3-coloring certificate")
     p.add_argument("file")
-    add_format(p)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
     p.add_argument("graph")
     p.add_argument("cert")
-    add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chi", help="exact chromatic number (small graphs)")
     p.add_argument("file")
-    add_format(p)
     p.add_argument("--budget", type=int, default=20, help="maximum vertex count (>= 0)")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("membership", help="run the forbidden-pattern oracles")
     p.add_argument("file")
-    add_format(p)
     p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
                    help="exact subdivision-oracle size budget (>= 0)")
     p.set_defaults(func=cmd_membership)

@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 CERTIFICATE_FORMAT = "tricolor.certificate/2"
+_CERTIFICATE_KEYS = {"format", "graph_hash", "n", "m", "coloring", "palette", "leaves",
+                     "fallback_count"}
 TREE_FORMAT = "tricolor.tree/5"
 
 
@@ -213,29 +215,34 @@ class ColoringCertificate:
 
     @classmethod
     def from_json(cls, data: Dict) -> "ColoringCertificate":
+        """ValueError unless ``data`` has the shape ``schemas/certificate.json`` gives."""
         if not isinstance(data, dict):
             raise ValueError("certificate must be a JSON object")
         if data.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {data.get('format')!r}")
-        if not isinstance(data["graph_hash"], str) or not isinstance(data["leaves"], list):
-            raise ValueError("certificate graph_hash must be a string and leaves an array")
-        raw = data["coloring"]
+        if data.keys() != _CERTIFICATE_KEYS:
+            raise ValueError(f"certificate keys must be {sorted(_CERTIFICATE_KEYS)}")
+        graph_hash, leaves, raw = data["graph_hash"], data["leaves"], data["coloring"]
+        if not (isinstance(graph_hash, str) and len(graph_hash) == 64
+                and set(graph_hash) <= set("0123456789abcdef")):
+            raise ValueError("certificate graph_hash must be 64 lowercase hex digits")
+        n, m, palette, fallbacks = (json_int(data[key], f"certificate {key}")
+                                    for key in ("n", "m", "palette", "fallback_count"))
+        if min(n, m, palette, fallbacks) < 0 or palette > 3:
+            raise ValueError("certificate n, m, fallback_count must be >= 0 and palette 0..3")
+        if not isinstance(leaves, list) or not all(
+                isinstance(leaf, dict) and leaf.keys() == {"size", "branch"}
+                and type(leaf["size"]) is int and leaf["size"] > 0
+                and isinstance(leaf["branch"], str) for leaf in leaves):
+            raise ValueError("certificate leaves must be {size >= 1, branch} objects")
         if not isinstance(raw, dict):
             raise ValueError("certificate coloring must be a JSON object")
         vertices, values = list(map(int, raw)), list(raw.values())
         if (list(map(str, vertices)) != list(raw) or min(vertices, default=0) < 0
-                or set(map(type, values)) - {int}):
-            raise ValueError("certificate coloring must map ids str(v), v >= 0, to integers")
-        colors = dict(zip(vertices, values))
-        return cls(
-            graph_hash=data["graph_hash"],
-            n=json_int(data["n"], "certificate n"),
-            m=json_int(data["m"], "certificate m"),
-            coloring=VertexColoring(colors, 3),
-            palette=json_int(data["palette"], "certificate palette"),
-            leaf_verdicts=tuple(data["leaves"]),
-            fallback_count=json_int(data["fallback_count"], "certificate fallback_count"),
-        )
+                or set(map(type, values)) - {int} or set(values) - {0, 1, 2}):
+            raise ValueError("certificate coloring must map ids str(v), v >= 0, to colors 0..2")
+        return cls(graph_hash, n, m, VertexColoring(dict(zip(vertices, values)), 3), palette,
+                   tuple(leaves), fallbacks)
 
 
 def _serialize_graph(g: Graph) -> Dict:

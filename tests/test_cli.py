@@ -117,6 +117,20 @@ class TestGraphIO:
         cpath.write_text(write_dimacs(g))
         assert read_graph(str(cpath)) == g
 
+    def test_format_is_read_from_the_text(self, tmp_path, capsys):
+        # A graph JSON document starts with "{" and no DIMACS file does; the name plays no part.
+        g = cycle_graph(5)
+        compact = json.dumps(graph_to_json(g))
+        cases = [("g.col", compact), ("g.txt", compact), ("g", compact),
+                 ("blank.col", "\n \n\t" + json.dumps(graph_to_json(g), indent=2)),
+                 ("g.json", write_dimacs(g))]
+        for name, text in cases:
+            path = tmp_path / name
+            path.write_text(text)
+            assert read_graph(str(path)) == g, name
+            assert main(["color", str(path)]) == EXIT_OK, name
+            assert json.loads(capsys.readouterr().out)["graph_hash"] == g.canonical_hash(), name
+
 
 class TestCommands:
     def test_color_and_verify(self, tmp_path, capsys):
@@ -322,6 +336,16 @@ class TestCommands:
             {k: v for k, v in good.items() if k != "palette"},
             dict(good, graph_hash=5),
             dict(good, leaves="x"),
+            # Shapes that schemas/certificate.json refuses, read by verify as
+            # valid or invalid certificates while from_json checked only types.
+            dict(good, graph_hash="abc"),
+            dict(good, n=-1),
+            dict(good, palette=7),
+            dict(good, coloring=dict(good["coloring"], **{"0": 5})),
+            dict(good, leaves=[5]),
+            dict(good, leaves=[{"size": 0, "branch": "x"}]),
+            dict(good, fallback_count=-2),
+            dict(good, extra=1),
         ]
         cert_file = tmp_path / "cert.json"
         for doc in bad_docs:
@@ -359,6 +383,29 @@ class TestCommands:
         with pytest.raises(SystemExit) as err:
             main(["generate", "--kind", "line", "--size", "12", "--budget", "5"])
         assert err.value.code == EXIT_MALFORMED
+
+    def test_reading_commands_have_no_format(self, tmp_path, capsys):
+        # The text of a graph file tells its format; only generate chooses one.
+        gfile = write_graph_file(tmp_path, prism_graph())
+        for argv in (["recognize", gfile], ["decompose", gfile], ["color", gfile],
+                     ["verify", gfile, gfile], ["chi", gfile], ["membership", gfile]):
+            for fmt in ("col", "json"):
+                with pytest.raises(SystemExit) as err:
+                    main([*argv, "--format", fmt])
+                assert err.value.code == EXIT_MALFORMED, (argv, fmt)
+        assert capsys.readouterr().out == ""
+
+    def test_color_and_verify_read_generated_json(self, tmp_path, capsys):
+        for kind in ("sp", "line"):
+            assert main(["generate", "--kind", kind, "--seed", "3", "--size", "40",
+                         "--format", "json"]) == EXIT_OK
+            gfile = tmp_path / f"{kind}.txt"
+            gfile.write_text(capsys.readouterr().out)
+            assert main(["color", str(gfile)]) == EXIT_OK, kind
+            cfile = tmp_path / f"{kind}-cert.json"
+            cfile.write_text(capsys.readouterr().out)
+            assert main(["verify", str(gfile), str(cfile)]) == EXIT_OK, kind
+            assert json.loads(capsys.readouterr().out) == {"valid": True}
 
     def test_color_has_no_membership_flags(self, tmp_path, capsys):
         # `tricolor membership` is the one way to ask the oracle.
