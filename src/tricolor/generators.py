@@ -22,8 +22,7 @@ from .errors import ContractViolationError, GenerationError
 from .graph import Graph, build_graph, is_connected
 from .patterns import (
     DEFAULT_EXACT_BUDGET,
-    find_bowtie,
-    find_diamond,
+    find_diamond_or_bowtie,
     verify_membership,
 )
 
@@ -159,7 +158,7 @@ def gen_line_of_subdivided_cubic(
         report = verify_membership(out, budget=budget)
         if report.verdict != "member":
             raise GenerationError(f"oracle rejected generated line graph: {report.verdict}")
-    elif find_diamond(out) is not None or find_bowtie(out) is not None:
+    elif find_diamond_or_bowtie(out) is not None:
         raise GenerationError("line-graph construction produced a forbidden pattern")
     return out
 
@@ -203,7 +202,7 @@ def gen_glue(seed: int, parts: Sequence[Graph], mode: str = "vertex") -> Graph:
         used = sorted({x for e in merged for x in e})
         pack = {x: i for i, x in enumerate(used)}
         candidate = build_graph([(pack[u], pack[v]) for u, v in merged], len(used))
-        if find_diamond(candidate) is None and find_bowtie(candidate) is None:
+        if find_diamond_or_bowtie(candidate) is None:
             return candidate
     raise GenerationError(f"glue rejected {GLUE_TRIES} times for seed {seed}")
 

@@ -21,6 +21,17 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return build_graph([(i, a + j) for i in range(a) for j in range(b)], a + b)
 
 
+def star(k: int) -> Graph:
+    """Centre 0 joined to the k leaves 1..k."""
+    return build_graph([(0, i) for i in range(1, k + 1)], k + 1)
+
+
+def wheel(k: int) -> Graph:
+    """Hub 0 joined to every vertex of the k-cycle 1..k."""
+    rim = [(i, i % k + 1) for i in range(1, k + 1)]
+    return build_graph(rim + [(0, i) for i in range(1, k + 1)], k + 1)
+
+
 def prism_graph() -> Graph:
     # Two triangles 0-1-2 and 3-4-5 joined by the matching 0-3, 1-4, 2-5.
     return build_graph(

@@ -278,6 +278,14 @@ def has_triangle(g: Graph) -> bool:
     )
 
 
+def triangle_pairs_reference(g: Graph):
+    """Every pair of triangles at one vertex, by testing each pair of its neighbours."""
+    for c in g.vertices:
+        tris = [(x, y) for x, y in combinations(g.neighbors(c), 2) if g.has_edge(x, y)]
+        for t1, t2 in combinations(tris, 2):
+            yield c, t1, t2
+
+
 def replay_removals(g: Graph, residual: Graph, order: Sequence[int]) -> Graph:
     """Invert a peel of an induced subgraph of g: add ``order`` back in reverse.
 

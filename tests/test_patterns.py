@@ -3,6 +3,7 @@ import sys
 from itertools import combinations
 
 import networkx as nx
+import pytest
 
 import oracles
 from common import (
@@ -12,16 +13,22 @@ from common import (
     cycle_graph,
     diamond_graph,
     prism_graph,
+    star,
+    wheel,
 )
 from conftest import random_graph
 from tricolor import (
     BudgetExceededError,
+    Graph,
     PatternWitness,
     build_graph,
     find_bowtie,
     find_diamond,
     find_isk4,
+    gen_series_parallel,
     induced_subgraph,
+    line_graph,
+    random_cubic_graph,
     subdivide,
     verify_membership,
 )
@@ -110,6 +117,87 @@ class TestTrianglePairs:
         assert len(list(patterns._triangle_pairs(complete_graph(4)))) == 4 * 3
         assert find_diamond(complete_graph(4)) is None
         assert find_bowtie(complete_graph(4)) is None
+
+
+def enumeration_graphs():
+    """Seeded random graphs, hubs, and generated members, for the enumeration differential."""
+    rng = random.Random(2718)
+    for _ in range(600):
+        yield random_graph(rng, rng.randrange(3, 15), rng.uniform(0.1, 0.9))
+    for k in (1, 2, 3, 4, 11, 40):
+        yield star(k)
+        yield complete_bipartite(2, k)
+        yield complete_bipartite(3, k)
+    for k in (3, 4, 5, 9):
+        yield wheel(k)
+    yield complete_graph(5)
+    for seed in range(3):
+        yield gen_series_parallel(seed, 2000)
+    for seed, k in ((1, 8), (2, 16), (3, 32)):
+        yield line_graph(subdivide(random_cubic_graph(seed, k)))
+
+
+class TestTrianglePairsDifferential:
+    """The shorter-list scan yields what testing every neighbour pair yields, in order."""
+
+    def test_same_sequence_as_pair_test(self):
+        for g in enumeration_graphs():
+            assert list(patterns._triangle_pairs(g)) == list(oracles.triangle_pairs_reference(g))
+
+    def test_same_witnesses_and_reports(self, monkeypatch):
+        def answers():
+            return [(find_diamond(g), find_bowtie(g),
+                     verify_membership(g).to_json() if g.n <= 14 else None)
+                    for g in enumeration_graphs()]
+
+        mine = answers()
+        monkeypatch.setattr(patterns, "_triangle_pairs", oracles.triangle_pairs_reference)
+        monkeypatch.setattr(patterns, "find_diamond_or_bowtie",
+                            lambda g: find_diamond(g) or find_bowtie(g))
+        assert mine == answers()
+        verdicts = {report["verdict"] for _, _, report in mine if report}
+        assert verdicts == {"member", "nonmember"}
+
+
+class TestTrianglePairsWork:
+    """A hub of degree k costs the detectors work linear in k."""
+
+    @staticmethod
+    def _work(monkeypatch, g):
+        """Neighbour entries iterated plus adjacency tests, over both detectors."""
+        count = [0]
+
+        class Counted(tuple):
+            def __iter__(self):
+                count[0] += len(self)
+                return super().__iter__()
+
+        def counted(fn):
+            def call(*args):
+                count[0] += 1
+                return fn(*args)
+            return call
+
+        plain = Graph.neighbors
+        monkeypatch.setattr(Graph, "neighbors", lambda self, v: Counted(plain(self, v)))
+        monkeypatch.setattr(Graph, "has_edge", counted(Graph.has_edge))
+        monkeypatch.setattr(patterns, "_sorted_contains", counted(patterns._sorted_contains))
+        assert find_diamond(g) is None and find_bowtie(g) is None
+        monkeypatch.undo()
+        return count[0]
+
+    @pytest.mark.parametrize("family", [star, lambda k: complete_bipartite(2, k),
+                                        lambda k: complete_bipartite(3, k)],
+                             ids=["star", "K2,k", "K3,k"])
+    def test_hub_work_grows_linearly(self, monkeypatch, family):
+        # Testing every pair of the hub's neighbours would grow 16-fold.
+        small = self._work(monkeypatch, family(1000))
+        big = self._work(monkeypatch, family(4000))
+        assert big <= 4.5 * small
+
+    def test_large_star_is_an_exact_member(self):
+        rep = verify_membership(star(100_000))
+        assert rep.verdict == "member" and rep.mode == "exact"
 
 
 class TestFindIsk4:
@@ -255,8 +343,6 @@ class TestMembership:
 
     def test_hereditary_on_random_members(self, rng):
         """Membership is closed under induced subgraphs."""
-        from tricolor import gen_series_parallel
-
         members = [gen_series_parallel(s, 10 + s % 7) for s in range(8)]
         members.append(prism_graph())
         for g in members:
