@@ -127,20 +127,6 @@ class DualColorings:
 # Exact chromatic number
 
 
-def _greedy_clique(g: Graph) -> List[int]:
-    if g.n == 0:
-        return []
-    best: List[int] = []
-    for seed in sorted(g.vertices, key=lambda v: -g.degree(v))[:8]:
-        clique = [seed]
-        for v in sorted(g.neighbors(seed), key=lambda v: -g.degree(v)):
-            if all(g.has_edge(v, u) for u in clique):
-                clique.append(v)
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
 def _backtrack(g: Graph, k: int, colors: Dict[int, int],
                pick: Callable[[Dict[int, int]], int]) -> Optional[Dict[int, int]]:
     """Extend the precolored ``colors`` to a proper k-coloring of g, or None.
@@ -189,9 +175,10 @@ def _dsatur(g: Graph, colors: Dict[int, int]) -> int:
 def chi_exact(g: Graph, budget: int = 20) -> Tuple[int, VertexColoring]:
     """Exact chromatic number with a validating witness.
 
-    A greedy clique gives the lower bound, then k-colorability is decided
-    for increasing k by :func:`_backtrack` with DSATUR branching.  Refuses
-    graphs with more than ``budget`` vertices, and a search past
+    k-colorability is decided for increasing k from 2 by :func:`_backtrack`
+    with DSATUR branching; every k below the chromatic number fails, so
+    the witness is the search's first coloring at k = chi.  Refuses graphs
+    with more than ``budget`` vertices, and a search past
     ``SEARCH_STEP_BUDGET`` steps.
     """
     if g.n > budget:
@@ -200,7 +187,7 @@ def chi_exact(g: Graph, budget: int = 20) -> Tuple[int, VertexColoring]:
         return 0, VertexColoring({}, 0)
     if g.m == 0:
         return 1, VertexColoring({v: 0 for v in g.vertices}, 1)
-    k = max(2, len(_greedy_clique(g)))
+    k = 2
     # Every graph is n-colorable, so the loop ends by k = n.
     while (witness := _backtrack(g, k, {}, lambda colors: _dsatur(g, colors))) is None:
         k += 1

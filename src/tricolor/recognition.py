@@ -11,7 +11,8 @@ of its cutset searches; its residuals have minimum degree >= 3, hence a K4
 minor, so only :func:`classify_basic`, which runs both on raw inputs too,
 falls back to series-parallel.  No forbidden-pattern oracle runs here: the
 root rebuild rejects a diamond from the common neighbours it lists to
-build its cliques.
+build its cliques, and decides from those cliques alone, with no pass over
+the root it builds, that the root exists and is sparse.
 """
 
 from __future__ import annotations
@@ -165,18 +166,18 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
     either nonadjacent, a diamond, or adjacent, a K4 whose clique would give
     H a vertex of degree four; either way g has no such root.  Otherwise the
     edge lies in exactly one maximal clique, itself plus at most one common
-    neighbour, and two distinct cliques share at most one vertex, so the
-    classical partition criterion applies directly: g is a line graph iff no
-    vertex lies in three of those cliques.  H gets one vertex per clique
-    plus a pendant vertex for every g-vertex covered only once, and one edge
-    per g-vertex.  Returns None unless g is nonempty and connected and H
-    comes out sparse; a maximum degree above 4 rules out a subcubic H first.
+    neighbour, so the listed cliques partition E(g).  If no vertex lies in
+    three (Krausz), v maps to the H-edge between its cliques, padded with
+    fresh pendants, so an isolated vertex is (0, 1).  The map is one to one
+    onto E(H), as two vertices with the same two cliques would have their
+    edge in both, and v ~ w iff their H-edges meet: g = L(H), so nothing is
+    left to validate.  A clique's H-vertex has the clique's size as degree
+    and a pendant has 1, so H is subcubic, and sparse unless an H-edge joins
+    two triangles, that is, some vertex lies in two.  None then too, or if g
+    is empty or disconnected; a maximum degree above 4 rules out H first.
     """
     if g.n == 0 or g.max_degree() > 4 or not is_connected(g):
         return None
-    if g.n == 1:
-        # An isolated vertex is the line graph of a single edge.
-        return RootGraph(build_graph([(0, 1)], 2), {g.vertices[0]: (0, 1)})
     cliques: Set[Tuple[int, ...]] = set()
     for u in g.vertices:
         # Neighbour tuples hold at most four ids, so ``in`` beats a bisect.
@@ -189,29 +190,22 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
                     return None
                 cliques.add(tuple(sorted([u, v, *common])))
     covering: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    triangles = dict.fromkeys(g.vertices, 0)
     for idx, clique in enumerate(sorted(cliques)):
         for v in clique:
             covering[v].append(idx)
-    if any(len(idxs) > 2 for idxs in covering.values()):
+            triangles[v] += len(clique) == 3
+    if any(len(idxs) > 2 for idxs in covering.values()) or max(triangles.values()) > 1:
         return None
-    vertex_to_edge: Dict[int, Tuple[int, int]] = {}
+    # Clique ids are listed ascending and pendant ids come after them all,
+    # so every pair of ends is already (smaller, larger).
     next_id = len(cliques)
-    for v in g.vertices:
-        # Clique ids are listed ascending and pendant ids come after them all,
-        # so every pair below is already (smaller, larger).
-        idxs = covering[v]
-        if len(idxs) == 2:
-            vertex_to_edge[v] = (idxs[0], idxs[1])
-        else:
-            vertex_to_edge[v] = (idxs[0], next_id)
+    for ends in covering.values():
+        while len(ends) < 2:
+            ends.append(next_id)
             next_id += 1
-    root = RootGraph(build_graph(vertex_to_edge.values(), next_id), vertex_to_edge)
-    if not root.is_sparse():
-        return None
-    if not root.validate(g):
-        # The partition criterion failed structurally (non-line input).
-        return None
-    return root
+    vertex_to_edge = {v: (ends[0], ends[1]) for v, ends in covering.items()}
+    return RootGraph(build_graph(vertex_to_edge.values(), next_id), vertex_to_edge)
 
 
 def classify_direct(g: Graph) -> Optional[BasicVerdict]:

@@ -15,6 +15,8 @@ from tricolor import (
     ContractViolationError,
     Graph,
     Proper2Cutset,
+    RootGraph,
+    build_graph,
     connected_components,
     induced_subgraph,
     is_connected,
@@ -451,3 +453,43 @@ def proper_2_cutset_pair_scan(g: Graph) -> Optional[Proper2Cutset]:
     _, pair, x_comps, y_comps = best
     side_x, side_y = (tuple(sorted(v for c in cs for v in c)) for cs in (x_comps, y_comps))
     return Proper2Cutset(pair, side_x, side_y)
+
+
+def reference_line_graph_root(g: Graph) -> Optional[RootGraph]:
+    """The line-graph root rebuild that re-checks what it builds.
+
+    The same cliques and ids as ``reconstruct_line_graph_root``, but an
+    isolated vertex is its own case, and the root is kept only if
+    ``RootGraph.is_sparse`` and ``RootGraph.validate`` both pass on it.
+    """
+    if g.n == 0 or g.max_degree() > 4 or not is_connected(g):
+        return None
+    if g.n == 1:
+        return RootGraph(build_graph([(0, 1)], 2), {g.vertices[0]: (0, 1)})
+    cliques: Set[Tuple[int, ...]] = set()
+    for u in g.vertices:
+        for v in g.neighbors(u):
+            if v > u:
+                common = [w for w in g.neighbors(u) if g.has_edge(v, w)]
+                if len(common) > 1:
+                    return None
+                cliques.add(tuple(sorted([u, v, *common])))
+    covering: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for idx, clique in enumerate(sorted(cliques)):
+        for v in clique:
+            covering[v].append(idx)
+    if any(len(idxs) > 2 for idxs in covering.values()):
+        return None
+    vertex_to_edge: Dict[int, Tuple[int, int]] = {}
+    next_id = len(cliques)
+    for v in g.vertices:
+        idxs = covering[v]
+        if len(idxs) == 2:
+            vertex_to_edge[v] = (idxs[0], idxs[1])
+        else:
+            vertex_to_edge[v] = (idxs[0], next_id)
+            next_id += 1
+    root = RootGraph(build_graph(vertex_to_edge.values(), next_id), vertex_to_edge)
+    if not root.is_sparse() or not root.validate(g):
+        return None
+    return root

@@ -163,6 +163,37 @@ class TestCommands:
         validate(doc, "verdict")
         assert doc["branch"] == "complete_bipartite"
 
+    def test_recognize_line_of_sparse(self, tmp_path, capsys):
+        g = tricolor.line_graph(tricolor.subdivide(tricolor.random_cubic_graph(3, 8)))
+        assert main(["recognize", write_graph_file(tmp_path, g)]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "verdict")
+        assert doc["branch"] == "line_of_sparse"
+        root = doc["root"]
+        ends = {int(v): tuple(e) for v, e in root["vertex_to_edge"].items()}
+        assert set(ends) == set(g.vertices)
+        assert sorted(ends.values()) == sorted(map(tuple, root["root_edges"]))
+        assert all(0 <= x < root["root_n"] for e in ends.values() for x in e)
+        # g is the line graph of the root: adjacent exactly when the root edges meet.
+        for u in g.vertices:
+            for v in g.vertices:
+                if u < v:
+                    assert g.has_edge(u, v) == bool(set(ends[u]) & set(ends[v])), (u, v)
+
+    def test_recognize_proper_2_cutset(self, tmp_path, capsys):
+        g = tricolor.gen_series_parallel(5, 20)
+        assert main(["recognize", write_graph_file(tmp_path, g)]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "verdict")
+        assert doc["branch"] == "proper_2_cutset"
+        cutset = doc["cutset"]
+        parts = cutset["pair"] + cutset["side_x"] + cutset["side_y"]
+        assert sorted(parts) == list(g.vertices)
+        a, b = cutset["pair"]
+        x, y = set(cutset["side_x"]), set(cutset["side_y"])
+        assert x and y and not g.has_edge(a, b)
+        assert not any(u in x and v in y or u in y and v in x for u, v in g.edges())
+
     def test_recognize_negative(self, tmp_path, capsys):
         from common import petersen_graph
 
@@ -267,6 +298,55 @@ class TestCommands:
 
         gfile = write_graph_file(tmp_path, complete_graph(4))
         assert main(["color", gfile]) == EXIT_INTERNAL
+
+    def test_verify_refuses_a_wrong_vertex_set_or_size(self, tmp_path, capsys):
+        # Well-formed certificates with the graph's own hash, but a coloring
+        # that misses a vertex or names one too many, or a count off by one.
+        gfile = write_graph_file(tmp_path, prism_graph())
+        assert main(["color", gfile]) == EXIT_OK
+        good = json.loads(capsys.readouterr().out)
+        coloring = good["coloring"]
+        cases = [
+            dict(good, coloring={v: c for v, c in coloring.items() if v != "5"}),
+            dict(good, coloring=dict(coloring, **{"6": 0})),
+            dict(good, n=good["n"] + 1),
+            dict(good, n=good["n"] - 1),
+            dict(good, m=good["m"] + 1),
+            dict(good, m=good["m"] - 1),
+        ]
+        cert_file = tmp_path / "cert.json"
+        for doc in cases:
+            cert_file.write_text(json.dumps(doc))
+            assert main(["verify", gfile, str(cert_file)]) == EXIT_NEGATIVE, doc
+        assert capsys.readouterr().out.count('"valid": false') == len(cases)
+
+    def test_fold_contract_violation_is_a_structured_failure(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args):
+            raise tricolor.ContractViolationError("merge refused")
+
+        monkeypatch.setattr(tricolor.pipeline, "merge_at_clique", refuse)
+        g = k33_line_chain(3)
+        with pytest.raises(tricolor.PipelineError) as err:
+            tricolor.color_class_member(g)
+        assert err.value.payload == {
+            "verdict": "structure",
+            "graph": {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges()]},
+        }
+        assert main(["color", write_graph_file(tmp_path, g)]) == EXIT_INTERNAL
+        out, err_text = capsys.readouterr()
+        assert out == "" and "Traceback" not in err_text
+        assert json.loads(err_text[err_text.index("{"):]) == err.value.payload
+
+    def test_missing_or_negative_problem_line_exits_malformed(self, tmp_path, capsys, caplog):
+        for text, message in (("c only\n", "missing problem line"),
+                              ("p edge -1 0\n", "negative vertex count -1")):
+            bad = tmp_path / "bad.col"
+            bad.write_text(text)
+            caplog.clear()
+            assert main(["color", str(bad)]) == EXIT_MALFORMED
+            assert capsys.readouterr().out == ""
+            assert f"malformed input: cannot load {bad}: {message}" in caplog.text
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.col"

@@ -2,10 +2,13 @@ import networkx as nx
 
 import oracles
 from common import (
+    bowtie_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     flower,
+    k33_line_chain,
+    necklace,
     path_graph,
     petersen_graph,
     prism_graph,
@@ -15,16 +18,21 @@ from tricolor import (
     Graph,
     build_graph,
     classify_basic,
+    color_class_member,
+    decompose,
     find_clique_cutset,
     find_diamond,
     is_connected,
     gen_series_parallel,
+    induced_subgraph,
     is_complete_bipartite,
     is_series_parallel,
     line_graph,
+    random_cubic_graph,
     reconstruct_line_graph_root,
     subdivide,
 )
+from tricolor import coloring, recognition
 
 
 class TestCompleteBipartite:
@@ -235,6 +243,96 @@ class TestRootAgainstOracles:
                     expected = False
                 assert (root is not None) == expected, sorted(g.edges())
         assert rooted >= 300 and diamonds >= 500
+
+
+def _root_key(root):
+    return None if root is None else (root.h.n, list(root.h.edges()), root.vertex_to_edge)
+
+
+def _with_helper(g, a, b):
+    """g plus a new vertex joined to a and b, as the paired side coloring builds it."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    helper = max(g.vertices) + 1
+    adj[helper] = {a, b}
+    adj[a].add(helper)
+    adj[b].add(helper)
+    return Graph.from_adjacency(adj)
+
+
+class TestRootRebuildAgainstReference:
+    """The rebuild decides from g's cliques what the reference re-checks on the root."""
+
+    def assert_matches(self, g):
+        root = reconstruct_line_graph_root(g)
+        assert _root_key(root) == _root_key(oracles.reference_line_graph_root(g)), sorted(g.edges())
+        if root is not None:
+            assert root.validate(g) and root.is_sparse()
+        return root
+
+    def test_random_graphs(self, rng):
+        rooted = 0
+        for _ in range(20000):
+            g = random_graph(rng, rng.randrange(1, 13), rng.choice([0.1, 0.2, 0.3, 0.45, 0.6]))
+            rooted += self.assert_matches(g) is not None
+        assert rooted >= 2000
+
+    def test_line_graphs_of_subdivided_cubics(self):
+        for seed in range(6):
+            for k in (4, 6, 8, 12):
+                base = random_cubic_graph(seed, k)
+                for double in (None, next(iter(base.edges()))):
+                    assert self.assert_matches(line_graph(subdivide(base, double))) is not None
+
+    def test_decomposition_pieces(self):
+        # Every graph a tree node holds: the chain's K3,3 and L(S(K4)) blocks
+        # and the chain itself, and each necklace side with its helper vertex.
+        for g in (k33_line_chain(6), complete_bipartite(3, 3),
+                  line_graph(subdivide(complete_graph(4)))):
+            for node in decompose(g).nodes:
+                self.assert_matches(node.graph)
+        sides = 0
+        for seed, t in ((0, 2), (1, 3), (2, 4)):
+            for node in decompose(necklace(seed, t)).nodes:
+                self.assert_matches(node.graph)
+                if node.kind == "proper_2_cutset":
+                    cs = node.verdict.cutset
+                    side = induced_subgraph(node.graph, cs.side_x + cs.pair)
+                    assert self.assert_matches(_with_helper(side, *cs.pair)) is not None
+                    sides += 1
+        assert sides >= 3
+
+    def test_a_vertex_in_two_triangles_has_no_sparse_root(self):
+        # Both are line graphs whose every vertex lies in at most two
+        # cliques; only the triangle count at one vertex refuses them.
+        assert reconstruct_line_graph_root(bowtie_graph()) is None
+        base = random_cubic_graph(1, 8)
+        s = subdivide(base)
+        # A new root edge between the subdivision vertices of two disjoint
+        # base edges makes both ends degree 3.
+        (a, b), (c, d) = next((e, f) for e in base.edges() for f in base.edges()
+                              if not set(e) & set(f))
+        mid = {frozenset(s.neighbors(x)): x for x in s.vertices if x >= base.n}
+        root_edges = list(s.edges()) + [(mid[frozenset((a, b))], mid[frozenset((c, d))])]
+        g = line_graph(build_graph(root_edges, s.n))
+        assert find_diamond(g) is None and g.max_degree() <= 4
+        assert reconstruct_line_graph_root(g) is None
+        assert oracles.reference_line_graph_root(g) is None
+
+    def test_one_sparseness_pass_per_line_leaf(self, monkeypatch):
+        calls = [0]
+        plain = recognition.is_sparse_subcubic
+
+        def counted(h):
+            calls[0] += 1
+            return plain(h)
+
+        monkeypatch.setattr(recognition, "is_sparse_subcubic", counted)
+        monkeypatch.setattr(coloring, "is_sparse_subcubic", counted)
+        for g in (line_graph(subdivide(random_cubic_graph(3, 32))), k33_line_chain(8)):
+            calls[0] = 0
+            cert = color_class_member(g)
+            leaves = sum(v["branch"] == "line_of_sparse" for v in cert.leaf_verdicts)
+            assert leaves >= 1 and calls[0] == leaves
 
 
 class TestClassifyBasic:
