@@ -70,12 +70,13 @@ class VertexColoring:
         return len(set(self.colors.values()))
 
     def is_proper(self, g: Graph) -> bool:
-        colors = self.colors
-        if colors.keys() != set(g.vertices) or not set(colors.values()) <= set(range(self.k)):
+        colors, adj = self.colors, g._adj
+        if colors.keys() != adj.keys() or not set(colors.values()) <= set(range(self.k)):
             return False
-        for u in g.vertices:
-            for v in g.neighbors(u):
-                if v > u and colors[v] == colors[u]:
+        for u, ns in adj.items():
+            cu = colors[u]
+            for v in ns:
+                if v > u and colors[v] == cu:
                     return False
         return True
 
@@ -93,14 +94,20 @@ class EdgeColoring:
         return self.colors[_ekey(*edge)]
 
     def is_proper(self, h: Graph) -> bool:
-        if set(self.colors) != set(h.edges()):
+        """Keyed by exactly E(h), colors in ``PALETTE``, distinct at each vertex.
+
+        With m keys, a key found for every edge of h leaves no other key.
+        """
+        colors = self.colors
+        if len(colors) != h.m:
             return False
-        if any(c not in PALETTE for c in self.colors.values()):
-            return False
-        for v in h.vertices:
-            at_v = [self.colors[_ekey(v, u)] for u in h.neighbors(v)]
-            if len(at_v) != len(set(at_v)):
-                return False
+        for v, ns in h._adj.items():
+            at_v = set()
+            for u in ns:
+                c = colors.get((v, u) if v < u else (u, v))
+                if c not in PALETTE or c in at_v:
+                    return False
+                at_v.add(c)
         return True
 
 
@@ -213,39 +220,54 @@ def edge_color_sparse(h: Graph) -> EdgeColoring:
     vertices of degree <= 2, so at most two colored edges touch it and a
     color is always free.  Always succeeds on this class; any other graph
     fails :func:`~tricolor.recognition.is_sparse_subcubic` and is refused.
-    Each vertex keeps the set of colors on its edges: a paint adds to both
-    ends, and a swap recomputes the sets of its component's vertices.
+    Each vertex keeps the set of colors on its edges: painting an edge adds
+    its color at both ends, and a swap recomputes the sets of its
+    component's vertices.
     """
     if not is_sparse_subcubic(h):
         raise ContractViolationError("edge coloring requires a sparse subcubic graph")
+    adj = h._adj
     colors: Dict[Tuple[int, int], int] = {}
-    used: Dict[int, Set[int]] = {v: set() for v in h.vertices}
-
-    def paint(u: int, w: int, c: int) -> None:
-        colors[_ekey(u, w)] = c
-        used[u].add(c)
-        used[w].add(c)
-
+    used: Dict[int, Set[int]] = {v: set() for v in adj}
     for u in h.vertices:
-        if h.degree(u) != 3:
+        nu = adj[u]
+        if len(nu) != 3:
             continue
-        for w in h.neighbors(u):
-            used_u, used_w = used[u], used[w]
-            common = [c for c in PALETTE if c not in used_u and c not in used_w]
-            if not common:
+        used_u = used[u]
+        for w in nu:
+            used_w = used[w]
+            for c in PALETTE:
+                if c not in used_u and c not in used_w:
+                    break
+            else:
                 alpha = next(c for c in PALETTE if c not in used_u)
                 beta = next(c for c in PALETTE if c not in used_w)
-                start = next(_ekey(w, x) for x in h.neighbors(w)
-                             if colors.get(_ekey(w, x)) == alpha)
+                x = next(x for x in adj[w] if colors.get((w, x) if w < x else (x, w)) == alpha)
+                start = (w, x) if w < x else (x, w)
                 comp = _color_component(h, colors, start, (alpha, beta))
                 _swap(colors, comp, (alpha, beta))
                 for x in {x for e in comp for x in e}:
-                    used[x] = {colors.get(_ekey(x, y)) for y in h.neighbors(x)} - {None}
-                common = [alpha]
-            paint(u, w, common[0])
-    for u, w in h.edges():
-        if (u, w) not in colors:
-            paint(u, w, next(c for c in PALETTE if c not in used[u] and c not in used[w]))
+                    used[x] = {colors.get((x, y) if x < y else (y, x)) for y in adj[x]} - {None}
+                used_u, used_w = used[u], used[w]
+                c = alpha
+            colors[(u, w) if u < w else (w, u)] = c
+            used_u.add(c)
+            used_w.add(c)
+    for u in h.vertices:
+        nu = adj[u]
+        if len(nu) == 3:
+            continue
+        used_u = used[u]
+        # The edges left are those between two non-hubs, each met once from its smaller end.
+        for w in nu:
+            if w > u and len(adj[w]) != 3:
+                used_w = used[w]
+                for c in PALETTE:
+                    if c not in used_u and c not in used_w:
+                        break
+                colors[(u, w)] = c
+                used_u.add(c)
+                used_w.add(c)
     coloring = EdgeColoring(colors)
     if not coloring.is_proper(h):
         raise ContractViolationError("edge coloring postcondition failed")

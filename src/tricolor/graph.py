@@ -36,7 +36,9 @@ class Graph:
     Invariants: no self-loops, no parallel edges, symmetric adjacency, and
     ``m`` equals half the degree sum.  Instances are safe to share across
     threads; all construction goes through :func:`build_graph`,
-    :func:`induced_subgraph` or :meth:`from_adjacency`.
+    :func:`induced_subgraph`, :meth:`from_adjacency` or
+    :func:`~tricolor.recognition.reconstruct_line_graph_root`, which builds
+    a line graph's root from its one-to-one vertex-to-edge map.
     """
 
     __slots__ = ("_adj", "_vertices", "m")

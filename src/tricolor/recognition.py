@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cutsets import Proper2Cutset, find_proper_2_cutset
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, is_connected
 
 __all__ = [
     "BasicVerdict",
@@ -49,8 +49,20 @@ BRANCH_UNCLASSIFIED = "unclassified"
 
 
 def is_sparse_subcubic(h: Graph) -> bool:
-    """Maximum degree <= 3, and every edge has an endpoint of degree <= 2."""
-    return h.max_degree() <= 3 and all(h.degree(u) <= 2 or h.degree(v) <= 2 for u, v in h.edges())
+    """Maximum degree <= 3, and every edge has an endpoint of degree <= 2.
+
+    Equivalently, every vertex of degree 3 (a hub) has only neighbours of
+    degree at most 2, so the test reads each hub's neighbours, not each edge.
+    """
+    adj = h._adj
+    for ns in adj.values():
+        if len(ns) > 2:
+            if len(ns) > 3:
+                return False
+            for w in ns:
+                if len(adj[w]) > 2:
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -178,24 +190,34 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
     """
     if g.n == 0 or g.max_degree() > 4 or not is_connected(g):
         return None
-    cliques: Set[Tuple[int, ...]] = set()
-    for u in g.vertices:
-        # Neighbour tuples hold at most four ids, so ``in`` beats a bisect.
-        nu = g.neighbors(u)
+    adj = g._adj
+    # Each edge u < v is listed once, and a triangle u < v < w once, from
+    # its edge (u, v), so the cliques come out distinct and as sorted tuples.
+    cliques: List[Tuple[int, ...]] = []
+    for u, nu in adj.items():
+        nset = set(nu)
         for v in nu:
             if v > u:
-                nv = g.neighbors(v)
-                common = [w for w in nu if w in nv]
-                if len(common) > 1:
+                common = nset.intersection(adj[v])
+                if not common:
+                    cliques.append((u, v))
+                elif len(common) > 1:
                     return None
-                cliques.add(tuple(sorted([u, v, *common])))
+                else:
+                    (w,) = common
+                    if w > v:
+                        cliques.append((u, v, w))
     covering: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    triangles = dict.fromkeys(g.vertices, 0)
-    for idx, clique in enumerate(sorted(cliques)):
+    in_triangle: Set[int] = set()
+    cliques.sort()
+    for idx, clique in enumerate(cliques):
         for v in clique:
             covering[v].append(idx)
-            triangles[v] += len(clique) == 3
-    if any(len(idxs) > 2 for idxs in covering.values()) or max(triangles.values()) > 1:
+        if len(clique) == 3:
+            if not in_triangle.isdisjoint(clique):
+                return None
+            in_triangle.update(clique)
+    if any(len(idxs) > 2 for idxs in covering.values()):
         return None
     # Clique ids are listed ascending and pendant ids come after them all,
     # so every pair of ends is already (smaller, larger).
@@ -205,7 +227,14 @@ def reconstruct_line_graph_root(g: Graph) -> Optional[RootGraph]:
             ends.append(next_id)
             next_id += 1
     vertex_to_edge = {v: (ends[0], ends[1]) for v, ends in covering.items()}
-    return RootGraph(build_graph(vertex_to_edge.values(), next_id), vertex_to_edge)
+    # The map is one to one onto E(H), so H's adjacency needs no dedupe.
+    hadj: List[List[int]] = [[] for _ in range(next_id)]
+    for a, b in vertex_to_edge.values():
+        hadj[a].append(b)
+        hadj[b].append(a)
+    for ns in hadj:
+        ns.sort()
+    return RootGraph(Graph(dict(enumerate(map(tuple, hadj))), g.n), vertex_to_edge)
 
 
 def classify_direct(g: Graph) -> Optional[BasicVerdict]:

@@ -20,6 +20,7 @@ from tricolor import (
     BudgetExceededError,
     ContractViolationError,
     DualColorings,
+    EdgeColoring,
     PipelineError,
     add_back_peeled,
     build_graph,
@@ -119,6 +120,28 @@ class TestEdgeColorSparse:
         assert ec.is_proper(h)
         # An exhaustive search agrees a 3-edge-coloring exists.
         assert oracles.edge_coloring_search(h) is not None
+
+    def test_is_proper_refuses_each_fault(self):
+        h = subdivide(complete_graph(4))
+        good = edge_color_sparse(h).colors
+        assert EdgeColoring(good).is_proper(h)
+        first = next(iter(good))
+        non_edge = next((u, v) for u in h.vertices for v in h.vertices
+                        if u < v and not h.has_edge(u, v))
+        x = next(x for x in h.vertices if h.degree(x) == 2)
+        e_a, e_b = ((x, y) if x < y else (y, x) for y in h.neighbors(x))
+        missing = {e: c for e, c in good.items() if e != first}
+        faults = [
+            missing,
+            {**missing, non_edge: good[first]},
+            {**missing, first[::-1]: good[first]},
+            {**good, first: 3},
+            {**good, e_b: good[e_a]},
+            {**good, non_edge: 0},
+        ]
+        for colors in faults:
+            assert not EdgeColoring(colors).is_proper(h), colors
+        assert [len(colors) - h.m for colors in faults] == [-1, 0, 0, 0, 0, 1]
 
     def test_k4_not_sparse(self):
         with pytest.raises(ContractViolationError):

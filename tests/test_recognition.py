@@ -181,6 +181,28 @@ class TestRootReconstruction:
             assert root.is_sparse() and root.h.max_degree() <= 3
 
 
+class TestIsSparseSubcubic:
+    def test_matches_definition_on_random_graphs(self, rng):
+        outcomes = []
+        for _ in range(5000):
+            g = random_graph(rng, rng.randrange(1, 13), rng.choice([0.1, 0.2, 0.3, 0.45]))
+            expected = g.max_degree() <= 3 and all(
+                g.degree(u) <= 2 or g.degree(v) <= 2 for u, v in g.edges()
+            )
+            assert recognition.is_sparse_subcubic(g) == expected, sorted(g.edges())
+            outcomes.append(expected)
+        assert min(outcomes.count(True), outcomes.count(False)) >= 1000
+
+    def test_fixed_cases(self):
+        # A degree-4 vertex all of whose edges end at a leaf; two adjacent hubs.
+        assert not recognition.is_sparse_subcubic(complete_bipartite(1, 4))
+        assert not recognition.is_sparse_subcubic(
+            build_graph([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)], 6)
+        )
+        assert recognition.is_sparse_subcubic(complete_bipartite(1, 3))
+        assert recognition.is_sparse_subcubic(subdivide(complete_graph(4)))
+
+
 def _random_subcubic(rng):
     k = rng.randrange(2, 11)
     deg = [0] * k
@@ -246,7 +268,10 @@ class TestRootAgainstOracles:
 
 
 def _root_key(root):
-    return None if root is None else (root.h.n, list(root.h.edges()), root.vertex_to_edge)
+    if root is None:
+        return None
+    h = root.h
+    return h.n, h.m, h.vertices, list(h.edges()), root.vertex_to_edge
 
 
 def _with_helper(g, a, b):
@@ -267,6 +292,8 @@ class TestRootRebuildAgainstReference:
         assert _root_key(root) == _root_key(oracles.reference_line_graph_root(g)), sorted(g.edges())
         if root is not None:
             assert root.validate(g) and root.is_sparse()
+            # The root built in place is the one build_graph makes of its edges.
+            assert root.h == build_graph(root.vertex_to_edge.values(), root.h.n)
         return root
 
     def test_random_graphs(self, rng):
